@@ -1,11 +1,7 @@
 #include "app/campaign_runner.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <condition_variable>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -13,13 +9,8 @@
 #include <sstream>
 #include <thread>
 
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "app/campaign_state.hh"
 #include "app/config_parser.hh"
-#include "app/heartbeat.hh"
 #include "app/training_driver.hh"
 #include "policy/checkpoint.hh"
 #include "policy/cohmeleon_policy.hh"
@@ -493,87 +484,10 @@ runCell(const ScenarioSpec &s, const TransferModels *transferModels)
     return runProtocolCell(s, transferModels);
 }
 
-// ----------------------------------------------------- the run plan
-
-/** Everything every execution mode (in-process, fleet supervisor,
- *  fleet worker) derives from (spec, opts) before running: the
- *  expansion, the deterministic slot numbering persistence keys on,
- *  the resolved harness knobs, and the resume identity. A pure
- *  function of its inputs, so supervisor and workers agree on all of
- *  it without sharing memory. */
-struct CampaignPlan
-{
-    std::vector<ExpandedCell> expanded;
-    std::vector<std::size_t> uniqueCells; ///< slot -> expanded index
-    std::vector<std::size_t> cellSlot;    ///< expanded index -> slot
-    std::vector<std::string> slotKeys;    ///< canonical text per slot
-    std::vector<std::string> slotNames;   ///< representative names
-    std::string identityText;
-    unsigned maxRetries = 0;
-    FaultPlan fault;
-    double leaseTtlSec = 30.0;
-    double cellTimeoutSec = 0.0;
-};
-
-CampaignPlan
-planCampaign(const CampaignSpec &spec, const CampaignRunOptions &opts)
-{
-    CampaignPlan plan;
-    plan.expanded = expandCells(spec);
-    fatalIf(plan.expanded.empty(), "campaign '", spec.name,
-            "' expands to no cells");
-
-    // Unique-spec slots first: persistence, resume, leases, and fault
-    // ordinals are all keyed on the deterministic slot numbering, so
-    // it must exist before any stage runs.
-    std::map<std::string, std::size_t> slotOf; // canonical spec
-    plan.cellSlot.resize(plan.expanded.size());
-    for (std::size_t i = 0; i < plan.expanded.size(); ++i) {
-        ScenarioSpec key = plan.expanded[i].spec;
-        key.name.clear(); // names differ, simulations may not
-        const auto [it, inserted] = slotOf.emplace(
-            serializeScenario(key), plan.uniqueCells.size());
-        if (inserted) {
-            plan.uniqueCells.push_back(i);
-            plan.slotKeys.push_back(it->first);
-            plan.slotNames.push_back(plan.expanded[i].spec.name);
-        }
-        plan.cellSlot[i] = it->second;
-    }
-
-    // The effective execution harness: CLI options override the
-    // spec's own harness keys.
-    plan.maxRetries =
-        opts.maxRetries == CampaignRunOptions::kRetriesFromSpec
-            ? spec.maxRetries
-            : opts.maxRetries;
-    plan.fault = opts.fault.active() ? opts.fault : spec.fault;
-    plan.leaseTtlSec = opts.leaseTtlSec > 0.0   ? opts.leaseTtlSec
-                       : spec.leaseTtlSec > 0.0 ? spec.leaseTtlSec
-                                                : 30.0;
-    plan.cellTimeoutSec = opts.cellTimeoutSec > 0.0
-                              ? opts.cellTimeoutSec
-                              : spec.cellTimeoutSec;
-
-    // The campaign's identity for resume validation excludes every
-    // harness key — resuming with different fault/retry/fleet flags
-    // (or a different worker count) is the same campaign, just driven
-    // differently.
-    CampaignSpec identity = spec;
-    identity.fault = FaultPlan{};
-    identity.maxRetries = 0;
-    identity.workers = 0;
-    identity.leaseTtlSec = 0.0;
-    identity.cellTimeoutSec = 0.0;
-    plan.identityText = serializeCampaign(identity);
-    return plan;
-}
-
 /** The optional cross-SoC transfer-training stage — one merged model
  *  per (merge, explore) strategy pair the expanded cells use, trained
  *  in first-encounter (expansion) order so the stage is deterministic
- *  for any runner width (and for every fleet worker recomputing it:
- *  the models are pure functions of the spec). */
+ *  for any runner width. */
 TransferModels
 trainTransferModels(const CampaignSpec &spec,
                     const std::vector<ExpandedCell> &expanded,
@@ -616,31 +530,19 @@ trainTransferModels(const CampaignSpec &spec,
 /**
  * One cell with failure containment: injected failures and thrown
  * exceptions retry (deterministic backoff) until the attempt budget
- * is spent, then the cell is recorded as a failure entry. Attempt
- * numbers continue across process kills via @p firstAttempt (=
- * killed attempts + 1), so the recorded count is identical whether
- * the retries happened in one process or across a worker fleet. A
- * hang plan sleeps until the --cell-timeout watchdog SIGKILLs the
- * process; a stop request turns the hang into an injected crash so
- * SIGTERM can unstick a watchdog-less fleet.
+ * is spent, then the cell is recorded as a failure entry.
  */
 CellResult
 runCellAttempts(const ScenarioSpec &cellSpec, std::size_t slot,
-                unsigned firstAttempt, unsigned maxRetries,
-                FaultInjector &injector, const TransferModels *merged)
+                unsigned maxRetries, const FaultInjector &injector,
+                const TransferModels *merged)
 {
     CellResult result;
-    for (unsigned attempt = firstAttempt;; ++attempt) {
+    for (unsigned attempt = 1;; ++attempt) {
         try {
             fatalIf(injector.shouldFail(slot, attempt),
                     "injected fault: cell slot ", slot, " attempt ",
                     attempt);
-            while (injector.shouldHang(slot, attempt)) {
-                if (campaignStopRequested())
-                    std::_Exit(kFaultCrashExit);
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(25));
-            }
             result = runCell(cellSpec, merged);
             result.attempts = attempt;
             break;
@@ -664,6 +566,26 @@ runCellAttempts(const ScenarioSpec &cellSpec, std::size_t slot,
         }
     }
     return result;
+}
+
+/**
+ * Reject a fault plan that can never fire in this run: a fail@SLOT
+ * past the campaign's unique cells, or a write-ordinal plan past the
+ * @p writes result writes this run makes (its unrestored cells, and
+ * none without a state directory).
+ */
+void
+checkFaultCanFire(const FaultPlan &fault, std::size_t slots,
+                  std::size_t writes)
+{
+    const bool isFail = fault.kind == FaultPlan::Kind::kFailCell;
+    const std::size_t bound = isFail ? slots : writes;
+    fatalIf(fault.active() && fault.ordinal >= bound, "fault '",
+            toString(fault), "' can never fire: the campaign has ",
+            slots, " unique cell(s)",
+            isFail ? std::string()
+                   : " and this run writes " + std::to_string(writes) +
+                         " result(s)");
 }
 
 // --------------------------------------------------------- normalizing
@@ -811,23 +733,62 @@ CampaignResult
 CampaignRunner::run(const CampaignSpec &spec,
                     const CampaignRunOptions &opts)
 {
-    const CampaignPlan plan = planCampaign(spec, opts);
-    const std::vector<ExpandedCell> &expanded = plan.expanded;
-    const std::vector<std::size_t> &uniqueCells = plan.uniqueCells;
-    FaultInjector injector(plan.fault);
-
     fatalIf(opts.resume && opts.stateDir.empty(),
             "--resume needs a state directory");
+    const std::vector<ExpandedCell> expanded = expandCells(spec);
+    fatalIf(expanded.empty(), "campaign '", spec.name,
+            "' expands to no cells");
+
+    // Unique-spec slots first: persistence, resume, and fault
+    // ordinals are all keyed on the deterministic slot numbering.
+    std::map<std::string, std::size_t> slotOf; // canonical spec
+    std::vector<std::size_t> uniqueCells; ///< slot -> expanded index
+    std::vector<std::size_t> cellSlot(expanded.size()); ///< inverse
+    std::vector<std::string> slotKeys;  ///< canonical text per slot
+    std::vector<std::string> slotNames; ///< representative names
+    for (std::size_t i = 0; i < expanded.size(); ++i) {
+        ScenarioSpec key = expanded[i].spec;
+        key.name.clear(); // names differ, simulations may not
+        const auto [it, inserted] =
+            slotOf.emplace(serializeScenario(key), uniqueCells.size());
+        if (inserted) {
+            uniqueCells.push_back(i);
+            slotKeys.push_back(it->first);
+            slotNames.push_back(expanded[i].spec.name);
+        }
+        cellSlot[i] = it->second;
+    }
+
+    // The effective execution harness: CLI options override the
+    // spec's own harness keys.
+    const unsigned maxRetries =
+        opts.maxRetries == CampaignRunOptions::kRetriesFromSpec
+            ? spec.maxRetries
+            : opts.maxRetries;
+    const FaultPlan fault =
+        opts.fault.active() ? opts.fault : spec.fault;
+
     std::unique_ptr<CampaignStateDir> state;
     std::map<std::size_t, CellResult> restored;
+    std::string identityText;
     if (!opts.stateDir.empty()) {
+        // The identity --resume validates excludes the harness keys:
+        // resuming under different fault/retry flags is the same
+        // campaign, just driven differently.
+        CampaignSpec identity = spec;
+        identity.fault = FaultPlan{};
+        identity.maxRetries = 0;
+        identityText = serializeCampaign(identity);
         state = std::make_unique<CampaignStateDir>(opts.stateDir);
         if (opts.resume)
-            restored = state->restore(plan.identityText,
-                                      plan.slotKeys, plan.slotNames);
-        else
-            state->initialize(plan.identityText, uniqueCells.size());
+            restored =
+                state->restore(identityText, slotKeys, slotNames);
     }
+    checkFaultCanFire(fault, uniqueCells.size(),
+                      state ? uniqueCells.size() - restored.size() : 0);
+    if (state && !opts.resume)
+        state->initialize(identityText, uniqueCells.size());
+    FaultInjector injector(fault);
 
     // Stage 1 (optional): cross-SoC transfer training. The models
     // are serialized once and restored per cell, keeping cells free
@@ -868,10 +829,10 @@ CampaignRunner::run(const CampaignSpec &spec,
         const ScenarioSpec &cellSpec =
             expanded[uniqueCells[slot]].spec;
         const CellResult result = runCellAttempts(
-            cellSpec, slot, 1, plan.maxRetries, injector, merged);
+            cellSpec, slot, maxRetries, injector, merged);
         unique[slot] = result;
         if (state)
-            state->record(slot, cellSpec.name, result, &injector);
+            state->record(slot, cellSpec.name, result, injector);
     });
 
     std::size_t skippedCount = 0;
@@ -889,7 +850,7 @@ CampaignRunner::run(const CampaignSpec &spec,
     result.name = spec.name;
     result.cells.resize(expanded.size());
     for (std::size_t i = 0; i < expanded.size(); ++i) {
-        result.cells[i] = unique[plan.cellSlot[i]];
+        result.cells[i] = unique[cellSlot[i]];
         result.cells[i].scenario = expanded[i].spec; // own name back
         result.cells[i].group = expanded[i].group;
         result.cells[i].isBaseline = expanded[i].isBaseline;
@@ -909,216 +870,6 @@ CellResult
 runScenario(const ScenarioSpec &spec)
 {
     return runCell(spec, nullptr);
-}
-
-// ------------------------------------------------ the worker fleet
-
-int
-runCampaignWorker(const CampaignSpec &spec,
-                  const CampaignRunOptions &opts)
-{
-    fatalIf(opts.stateDir.empty(),
-            "a campaign worker needs a state directory");
-    installCampaignSignalHandlers();
-    const CampaignPlan plan = planCampaign(spec, opts);
-    FaultInjector injector(plan.fault);
-
-    CampaignStateDir state(opts.stateDir);
-    const std::size_t alreadyDone =
-        state.attach(plan.identityText, plan.uniqueCells.size());
-
-    // Transfer models are pure functions of the spec, so every
-    // worker recomputing them is wasteful but exact.
-    TransferModels transferModels;
-    if (spec.transfer.active() &&
-        alreadyDone < plan.uniqueCells.size()) {
-        ParallelRunner serial(1);
-        transferModels =
-            trainTransferModels(spec, plan.expanded, serial);
-    }
-    const TransferModels *merged =
-        transferModels.empty() ? nullptr : &transferModels;
-
-    // Heartbeat thread: touches the held lease's mtime so TTL-based
-    // reclaim only fires on real process death — it keeps beating
-    // under a hung cell, which is exactly why the watchdog keys on
-    // claim age instead (see app/heartbeat.hh for the full
-    // synchronization contract).
-    LeaseHeartbeat hb(state,
-                      LeaseHeartbeat::intervalFor(plan.leaseTtlSec));
-
-    while (!campaignStopRequested()) {
-        const std::optional<CampaignStateDir::CellClaim> claim =
-            state.claimNext(plan.leaseTtlSec);
-        if (!claim)
-            break; // every remaining slot is done or live-leased
-        hb.arm(claim->slot);
-        const ScenarioSpec &cellSpec =
-            plan.expanded[plan.uniqueCells[claim->slot]].spec;
-        const CellResult result = runCellAttempts(
-            cellSpec, claim->slot, claim->priorKills + 1,
-            plan.maxRetries, injector, merged);
-        state.record(claim->slot, cellSpec.name, result, &injector);
-        hb.disarm();
-        state.release(claim->slot);
-    }
-    return 0;
-}
-
-void
-superviseCampaignFleet(const CampaignSpec &spec,
-                       const CampaignRunOptions &opts)
-{
-    fatalIf(opts.stateDir.empty(),
-            "a campaign worker fleet needs a state directory");
-    fatalIf(opts.workers == 0,
-            "superviseCampaignFleet() needs workers > 0");
-    installCampaignSignalHandlers();
-    const CampaignPlan plan = planCampaign(spec, opts);
-    const std::size_t nSlots = plan.uniqueCells.size();
-
-    CampaignStateDir state(opts.stateDir);
-    if (opts.resume)
-        state.restore(plan.identityText, plan.slotKeys,
-                      plan.slotNames);
-    else
-        state.initialize(plan.identityText, nSlots);
-    state.openShared();
-
-    if (const std::optional<CampaignStateDir::LeaseInfo> foreign =
-            state.sweepOrphanLeases(plan.leaseTtlSec))
-        fatal("state directory '", opts.stateDir, "' is busy: slot ",
-              foreign->slot, " is leased by live pid ", foreign->pid,
-              " (another fleet is running this campaign?)");
-
-    std::size_t done = state.doneCount();
-    if (done == nSlots)
-        return; // fully restored; nothing to fork
-
-    // Workers call runCampaignWorker() directly after fork — no
-    // exec, no hidden CLI re-entry — and leave via _Exit so a worker
-    // never runs the parent's atexit/stream teardown. The caller
-    // must still be single-threaded here (the CLI supervises before
-    // constructing its thread pool).
-    const auto spawn = [&]() -> pid_t {
-        std::fflush(nullptr);
-        const pid_t pid = ::fork();
-        fatalIf(pid < 0, "fork failed: ", std::strerror(errno));
-        if (pid != 0)
-            return pid;
-        int rc = 1;
-        try {
-            rc = runCampaignWorker(spec, opts);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "campaign worker %d: %s\n",
-                         static_cast<int>(::getpid()), e.what());
-        }
-        std::fflush(nullptr);
-        std::_Exit(rc);
-    };
-
-    std::vector<pid_t> children;
-    const std::size_t fleet =
-        std::min<std::size_t>(opts.workers, nSlots - done);
-    for (std::size_t i = 0; i < fleet; ++i)
-        children.push_back(spawn());
-
-    unsigned respawnsLeft = opts.respawnBudget;
-    bool stopForwarded = false;
-    std::map<pid_t, std::size_t> watchdogShots; // pid -> hung slot
-
-    while (!children.empty()) {
-        if (campaignStopRequested() && !stopForwarded) {
-            for (const pid_t pid : children)
-                ::kill(pid, SIGTERM);
-            stopForwarded = true;
-        }
-
-        // The --cell-timeout watchdog: claim age, not heartbeat age
-        // (a wedged worker keeps heartbeating). Kill once; the reap
-        // path below does the accounting.
-        if (plan.cellTimeoutSec > 0.0) {
-            for (const CampaignStateDir::LeaseInfo &lease :
-                 state.overdueClaims(plan.cellTimeoutSec)) {
-                const bool ours =
-                    std::find(children.begin(), children.end(),
-                              static_cast<pid_t>(lease.pid)) !=
-                    children.end();
-                if (!ours || watchdogShots.contains(lease.pid))
-                    continue;
-                watchdogShots.emplace(lease.pid, lease.slot);
-                ::kill(lease.pid, SIGKILL);
-            }
-        }
-
-        // Reap: per-pid WNOHANG so children the caller owns (a test
-        // harness's, say) are never stolen.
-        for (std::size_t i = 0; i < children.size();) {
-            const pid_t pid = children[i];
-            int status = 0;
-            if (::waitpid(pid, &status, WNOHANG) != pid) {
-                ++i;
-                continue;
-            }
-            children.erase(children.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-            const bool clean =
-                WIFEXITED(status) && WEXITSTATUS(status) == 0;
-            if (clean)
-                continue; // out of claimable cells; no respawn
-
-            // Abnormal death: drop the lease, charge the lost
-            // attempt, contain the cell when its budget is gone —
-            // the same containment shape as an in-process fail@
-            // retry running dry.
-            const auto shot = watchdogShots.find(pid);
-            const bool byWatchdog = shot != watchdogShots.end();
-            const std::optional<CampaignStateDir::CellClaim> lost =
-                state.reclaimWorkerLease(pid);
-            if (byWatchdog)
-                watchdogShots.erase(shot);
-            if (lost && lost->priorKills > plan.maxRetries) {
-                const ScenarioSpec &cellSpec =
-                    plan.expanded[plan.uniqueCells[lost->slot]].spec;
-                CellResult failed;
-                failed.scenario = cellSpec;
-                failed.failed = true;
-                failed.attempts = lost->priorKills;
-                failed.error =
-                    "cell slot " + std::to_string(lost->slot) +
-                    " attempt " + std::to_string(lost->priorKills) +
-                    (byWatchdog
-                         ? ": killed by the --cell-timeout watchdog"
-                         : ": worker exited abnormally while "
-                           "running this cell");
-                state.record(lost->slot, cellSpec.name, failed,
-                             nullptr);
-            }
-            if (!campaignStopRequested() && respawnsLeft > 0) {
-                --respawnsLeft;
-                children.push_back(spawn());
-            }
-        }
-
-        if (!children.empty())
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(25));
-    }
-
-    done = state.doneCount();
-    if (done == nSlots)
-        return;
-    const std::string tail = std::to_string(nSlots - done) + " of " +
-                             std::to_string(nSlots) +
-                             " cells not yet run; resume with "
-                             "--resume";
-    if (campaignStopRequested())
-        throw CampaignInterrupted("campaign '" + spec.name +
-                                  "' interrupted: " + tail);
-    throw CampaignIncomplete("campaign '" + spec.name +
-                             "' incomplete (worker respawn budget "
-                             "exhausted): " +
-                             tail);
 }
 
 // ------------------------------------------------------------- results

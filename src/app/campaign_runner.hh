@@ -148,28 +148,6 @@ struct CampaignRunOptions
 
     /** Injected fault; an inactive plan defers to spec.fault. */
     FaultPlan fault;
-
-    /** Worker-fleet size for superviseCampaignFleet(). 0 defers to
-     *  spec.workers (and 0 there means no fleet — cells run
-     *  in-process). Requires stateDir. */
-    unsigned workers = 0;
-
-    /** Seconds without a heartbeat before a worker's lease is
-     *  presumed orphaned and reclaimed. 0 defers to spec.leaseTtlSec,
-     *  then to the 30 s default. */
-    double leaseTtlSec = 0.0;
-
-    /** Per-cell wall-clock watchdog (seconds): the supervisor
-     *  SIGKILLs a worker whose claim is older and contains the hung
-     *  cell exactly like a crashed attempt. 0 defers to
-     *  spec.cellTimeoutSec (0 there = no watchdog). */
-    double cellTimeoutSec = 0.0;
-
-    /** How many abnormal worker deaths the supervisor replaces before
-     *  giving up (throwing CampaignIncomplete once no worker is
-     *  left). Fleet mode only; not spec-settable (it tunes the
-     *  harness's patience, not the campaign). */
-    unsigned respawnBudget = 8;
 };
 
 /** Expand-and-execute driver over a ParallelRunner. */
@@ -200,8 +178,8 @@ class CampaignRunner
      * become CellResult failure entries (check failureCount());
      * @throws CampaignInterrupted when SIGINT/SIGTERM stopped the
      * sweep with cells unrun (the manifest is flushed first), and
-     * FatalError on invalid specs or a state dir that fails
-     * validation.
+     * FatalError on invalid specs, a state dir that fails
+     * validation, or a fault plan that can never fire in this run.
      */
     CampaignResult run(const CampaignSpec &spec,
                        const CampaignRunOptions &opts);
@@ -216,42 +194,6 @@ class CampaignRunner
  * reads/writes).
  */
 CellResult runScenario(const ScenarioSpec &spec);
-
-/**
- * Supervised multi-process campaign execution: fork
- * opts.workers worker processes (each runs runCampaignWorker() and
- * _Exit()s), then supervise — reap exits, reclaim the leases of dead
- * workers (bumping the cross-process attempt counter), respawn
- * abnormal deaths within opts.respawnBudget, SIGKILL workers whose
- * cell outlives opts.cellTimeoutSec, contain cells whose attempt
- * budget is exhausted as recorded failures, and forward
- * SIGINT/SIGTERM to the fleet so an interrupted run flushes and
- * resumes exactly like the in-process path.
- *
- * Call from a single-threaded process (it forks), with
- * opts.stateDir set and opts.workers > 0. On return every slot is in
- * the manifest; re-run CampaignRunner::run with resume=true and no
- * fault to assemble the result — byte-identical to an in-process run
- * by construction.
- *
- * @throws CampaignInterrupted on SIGINT/SIGTERM with cells unrun,
- *         CampaignIncomplete when the fleet died faster than the
- *         respawn budget with cells unrun, FatalError on invalid
- *         specs or a state directory another live fleet holds
- */
-void superviseCampaignFleet(const CampaignSpec &spec,
-                            const CampaignRunOptions &opts);
-
-/**
- * One fleet worker's life: attach to opts.stateDir, then claim—run—
- * record—release cells until none are claimable or a stop is
- * requested. A background thread heartbeats the held lease's mtime.
- * Runs injected faults (crash/kill-worker/hang plans die for real).
- * Exposed for tests; superviseCampaignFleet() forks these.
- * @return the worker's exit code (0 = clean)
- */
-int runCampaignWorker(const CampaignSpec &spec,
-                      const CampaignRunOptions &opts);
 
 /** Names of the registered campaigns ("fig3", "fig9", "ablation",
  *  "transfer", "smoke", "faulty"). */

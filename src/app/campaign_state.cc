@@ -1,19 +1,10 @@
 #include "app/campaign_state.hh"
 
-#include <cerrno>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <filesystem>
 #include <set>
 #include <sstream>
-
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include "coh/coherence_mode.hh"
 #include "sim/atomic_file.hh"
@@ -427,8 +418,7 @@ struct ManifestEntryLine
 
 /** Parse a manifest: header vs the expected hash/count, every done
  *  entry's grammar, slot range, duplicates, and the end marker. Cell
- *  files themselves are the caller's problem (restore() vets them;
- *  the shared-mode merge trusts the recording process did). */
+ *  files themselves are the caller's problem (restore() vets them). */
 std::vector<ManifestEntryLine>
 parseManifestEntries(const std::string &text, const std::string &path,
                      std::uint64_t specHash, std::size_t nCells)
@@ -502,138 +492,6 @@ parseManifestEntries(const std::string &text, const std::string &path,
     return out;
 }
 
-// ------------------------------------------------ lease primitives
-
-/** RAII fcntl(F_SETLKW) whole-file write lock. fd < 0 = no-op (the
- *  single-process mode, where the in-process mutex suffices).
- *  fcntl locks are per-process, so in-process threads pass through —
- *  which is exactly why CampaignStateDir keeps its mutex too. */
-class ScopedFileLock
-{
-  public:
-    explicit ScopedFileLock(int fd) : fd_(fd)
-    {
-        if (fd_ < 0)
-            return;
-        struct ::flock fl{};
-        fl.l_type = F_WRLCK;
-        fl.l_whence = SEEK_SET;
-        int rc = 0;
-        do {
-            rc = ::fcntl(fd_, F_SETLKW, &fl);
-        } while (rc != 0 && errno == EINTR);
-        fatalIf(rc != 0, "cannot lock campaign state: ",
-                std::strerror(errno));
-    }
-
-    ~ScopedFileLock()
-    {
-        if (fd_ < 0)
-            return;
-        struct ::flock fl{};
-        fl.l_type = F_UNLCK;
-        fl.l_whence = SEEK_SET;
-        ::fcntl(fd_, F_SETLK, &fl);
-    }
-
-    ScopedFileLock(const ScopedFileLock &) = delete;
-    ScopedFileLock &operator=(const ScopedFileLock &) = delete;
-
-  private:
-    int fd_;
-};
-
-std::uint64_t
-wallMs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            // determinism: allow(wall-clock, lease claim timestamps — crash-recovery harness state, never in campaign results)
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
-
-/** Seconds between now (CLOCK_REALTIME, the clock utimensat writes)
- *  and @p st's mtime, clamped at zero. */
-double
-mtimeAgeSec(const struct ::stat &st)
-{
-    struct ::timespec now{};
-    // determinism: allow(wall-clock, heartbeat staleness check — must match the clock utimensat writes, never in results)
-    ::clock_gettime(CLOCK_REALTIME, &now);
-    const double age =
-        static_cast<double>(now.tv_sec - st.st_mtim.tv_sec) +
-        static_cast<double>(now.tv_nsec - st.st_mtim.tv_nsec) * 1e-9;
-    return age < 0.0 ? 0.0 : age;
-}
-
-struct LeaseFile
-{
-    int pid = 0;
-    std::uint64_t claimMs = 0;
-    std::size_t slot = 0;
-};
-
-/** nullopt on any malformation — a lease torn by a crash between
- *  create and write parses as nothing and ages out via its mtime. */
-std::optional<LeaseFile>
-parseLease(const std::string &text)
-{
-    std::istringstream is(text);
-    std::string magic;
-    if (!std::getline(is, magic) || magic != "cohmeleon-lease 1")
-        return std::nullopt;
-    LeaseFile out;
-    std::string kw;
-    long long pid = 0;
-    if (!(is >> kw >> pid) || kw != "pid" || pid <= 0)
-        return std::nullopt;
-    out.pid = static_cast<int>(pid);
-    if (!(is >> kw >> out.claimMs) || kw != "claim-ms")
-        return std::nullopt;
-    if (!(is >> kw >> out.slot) || kw != "slot")
-        return std::nullopt;
-    return out;
-}
-
-/** The claim primitive: O_EXCL creation — exactly one claimer can
- *  win, fcntl lock or not. @return false when the lease exists */
-bool
-tryCreateLease(const std::string &path, std::size_t slot,
-               std::uint64_t claimMs)
-{
-    const int fd =
-        ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-    if (fd < 0) {
-        fatalIf(errno != EEXIST, "cannot create lease file '", path,
-                "': ", std::strerror(errno));
-        return false;
-    }
-    std::ostringstream os;
-    os << "cohmeleon-lease 1\n"
-       << "pid " << ::getpid() << '\n'
-       << "claim-ms " << claimMs << '\n'
-       << "slot " << slot << '\n';
-    const std::string bytes = os.str();
-    std::size_t written = 0;
-    while (written < bytes.size()) {
-        const ssize_t n = ::write(fd, bytes.data() + written,
-                                  bytes.size() - written);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            const int err = errno;
-            ::close(fd);
-            ::unlink(path.c_str());
-            fatal("write failed for lease file '", path,
-                  "': ", std::strerror(err));
-        }
-        written += static_cast<std::size_t>(n);
-    }
-    ::close(fd);
-    return true;
-}
-
 } // namespace
 
 CampaignStateDir::CampaignStateDir(std::string dir)
@@ -642,28 +500,10 @@ CampaignStateDir::CampaignStateDir(std::string dir)
     fatalIf(dir_.empty(), "campaign state directory path is empty");
 }
 
-CampaignStateDir::~CampaignStateDir()
-{
-    if (lockFd_ >= 0)
-        ::close(lockFd_);
-}
-
 std::string
 CampaignStateDir::cellPath(std::size_t slot) const
 {
     return dir_ + "/cells/cell" + std::to_string(slot) + ".result";
-}
-
-std::string
-CampaignStateDir::leasePath(std::size_t slot) const
-{
-    return dir_ + "/leases/slot" + std::to_string(slot) + ".lease";
-}
-
-std::string
-CampaignStateDir::killsPath(std::size_t slot) const
-{
-    return dir_ + "/leases/slot" + std::to_string(slot) + ".kills";
 }
 
 std::string
@@ -688,11 +528,6 @@ CampaignStateDir::initialize(const std::string &specText,
     std::filesystem::create_directories(dir_ + "/cells", ec);
     fatalIf(ec, "cannot create campaign state directory '", dir_,
             "': ", ec.message());
-    // A fresh run owes nothing to older leases or kill counters
-    // (resume keeps them: attempt numbering must survive a killed
-    // supervisor).
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_ + "/leases", ignored);
     specHash_ = fnv1a64(specText);
     nCells_ = nCells;
     done_.clear();
@@ -766,252 +601,21 @@ CampaignStateDir::restore(const std::string &specText,
 void
 CampaignStateDir::record(std::size_t slot, const std::string &name,
                          const CellResult &result,
-                         FaultInjector *injector)
+                         FaultInjector &injector)
 {
     const std::string bytes = serializeCellResult(result);
     const std::uint64_t checksum = fnv1a64(bytes);
 
-    const std::size_t ordinal =
-        injector != nullptr ? injector->beforeWrite() : 0;
+    const std::size_t ordinal = injector.beforeWrite();
     atomicWriteFile(cellPath(slot), bytes);
-    if (injector != nullptr)
-        injector->afterWrite(ordinal);
+    injector.afterWrite(ordinal);
 
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        const ScopedFileLock fileLock(lockFd_);
-        if (sharedMode())
-            mergeManifestFromDiskLocked();
         done_[slot] = Entry{bytes.size(), checksum, name};
         atomicWriteFile(dir_ + "/MANIFEST", manifestText());
     }
-    if (injector != nullptr)
-        injector->afterManifest(ordinal);
-}
-
-// ---------------------------------------- shared (fleet) mode
-
-void
-CampaignStateDir::openShared()
-{
-    if (lockFd_ >= 0)
-        return;
-    std::error_code ec;
-    std::filesystem::create_directories(dir_ + "/leases", ec);
-    fatalIf(ec, "cannot create lease directory under '", dir_,
-            "': ", ec.message());
-    const std::string lockPath = dir_ + "/LOCK";
-    lockFd_ = ::open(lockPath.c_str(), O_RDWR | O_CREAT, 0644);
-    fatalIf(lockFd_ < 0, "cannot open campaign lock file '", lockPath,
-            "': ", std::strerror(errno));
-}
-
-std::size_t
-CampaignStateDir::attach(const std::string &specText,
-                         std::size_t nCells)
-{
-    const std::string specPath = dir_ + "/campaign.spec";
-    fatalIf(!std::filesystem::exists(specPath), "cannot attach to '",
-            dir_, "': no campaign.spec (initialize or restore the "
-            "directory first)");
-    const std::string stored = readFile(specPath);
-    if (stored != specText) {
-        const unsigned line = firstDifferingLine(stored, specText);
-        fatal(specPath, " line ", line,
-              ": state directory belongs to a different campaign "
-              "(the stored spec diverges from the one being run)");
-    }
-    specHash_ = fnv1a64(specText);
-    nCells_ = nCells;
-    openShared();
-
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const ScopedFileLock fileLock(lockFd_);
-    done_.clear();
-    mergeManifestFromDiskLocked();
-    return done_.size();
-}
-
-void
-CampaignStateDir::mergeManifestFromDiskLocked()
-{
-    const std::string manifestPath = dir_ + "/MANIFEST";
-    for (const ManifestEntryLine &e : parseManifestEntries(
-             readFile(manifestPath), manifestPath, specHash_,
-             nCells_))
-        done_[e.slot] = Entry{e.size, e.checksum, e.name};
-}
-
-unsigned
-CampaignStateDir::killCountLocked(std::size_t slot) const
-{
-    const std::string path = killsPath(slot);
-    if (!std::filesystem::exists(path))
-        return 0;
-    const std::string text = readFile(path);
-    try {
-        std::size_t used = 0;
-        const unsigned long n = std::stoul(text, &used);
-        fatalIf(used != text.size() || n > 1000000, "");
-        return static_cast<unsigned>(n);
-    } catch (const std::exception &) {
-        fatal("malformed kill counter '", path, "'");
-    }
-}
-
-std::optional<CampaignStateDir::CellClaim>
-CampaignStateDir::claimNext(double ttlSec)
-{
-    fatalIf(!sharedMode(), "claimNext() needs shared mode (attach)");
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const ScopedFileLock fileLock(lockFd_);
-    mergeManifestFromDiskLocked();
-    const std::uint64_t now = wallMs();
-    for (std::size_t slot = 0; slot < nCells_; ++slot) {
-        if (done_.count(slot))
-            continue;
-        const std::string path = leasePath(slot);
-        struct ::stat st{};
-        if (::stat(path.c_str(), &st) == 0) {
-            if (mtimeAgeSec(st) <= ttlSec)
-                continue; // held by a live (heartbeating) worker
-            // Heartbeat TTL expired: the holder is presumed dead.
-            // mtime only, never pid liveness — a live-pid check here
-            // would race the supervisor's own reap accounting.
-            ::unlink(path.c_str());
-        }
-        if (!tryCreateLease(path, slot, now))
-            continue; // lost the O_EXCL race to another claimer
-        return CellClaim{slot, killCountLocked(slot)};
-    }
-    return std::nullopt;
-}
-
-bool
-CampaignStateDir::heartbeat(std::size_t slot)
-{
-    return ::utimensat(AT_FDCWD, leasePath(slot).c_str(), nullptr,
-                       0) == 0;
-}
-
-void
-CampaignStateDir::release(std::size_t slot)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const ScopedFileLock fileLock(lockFd_);
-    ::unlink(leasePath(slot).c_str());
-}
-
-std::size_t
-CampaignStateDir::doneCount()
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const ScopedFileLock fileLock(lockFd_);
-    if (sharedMode())
-        mergeManifestFromDiskLocked();
-    return done_.size();
-}
-
-std::optional<CampaignStateDir::CellClaim>
-CampaignStateDir::reclaimWorkerLease(int pid)
-{
-    fatalIf(!sharedMode(), "reclaimWorkerLease() needs shared mode");
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const ScopedFileLock fileLock(lockFd_);
-    mergeManifestFromDiskLocked();
-    for (std::size_t slot = 0; slot < nCells_; ++slot) {
-        const std::string path = leasePath(slot);
-        if (!std::filesystem::exists(path))
-            continue;
-        const std::optional<LeaseFile> lease =
-            parseLease(readFile(path));
-        if (!lease || lease->pid != pid)
-            continue;
-        ::unlink(path.c_str());
-        if (done_.count(slot))
-            return std::nullopt; // the cell landed before the death
-        const unsigned kills = killCountLocked(slot) + 1;
-        atomicWriteFile(killsPath(slot), std::to_string(kills));
-        return CellClaim{slot, kills};
-    }
-    return std::nullopt;
-}
-
-std::vector<CampaignStateDir::LeaseInfo>
-CampaignStateDir::overdueClaims(double timeoutSec)
-{
-    fatalIf(!sharedMode(), "overdueClaims() needs shared mode");
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const ScopedFileLock fileLock(lockFd_);
-    mergeManifestFromDiskLocked();
-    const std::uint64_t now = wallMs();
-    std::vector<LeaseInfo> out;
-    for (std::size_t slot = 0; slot < nCells_; ++slot) {
-        if (done_.count(slot))
-            continue;
-        const std::string path = leasePath(slot);
-        struct ::stat st{};
-        if (::stat(path.c_str(), &st) != 0)
-            continue;
-        const std::optional<LeaseFile> lease =
-            parseLease(readFile(path));
-        if (!lease)
-            continue;
-        LeaseInfo info;
-        info.slot = slot;
-        info.pid = lease->pid;
-        info.claimMs = lease->claimMs;
-        info.heartbeatAgeSec = mtimeAgeSec(st);
-        info.claimAgeSec = now > lease->claimMs
-                               ? static_cast<double>(
-                                     now - lease->claimMs) *
-                                     1e-3
-                               : 0.0;
-        if (info.claimAgeSec > timeoutSec)
-            out.push_back(std::move(info));
-    }
-    return out;
-}
-
-std::optional<CampaignStateDir::LeaseInfo>
-CampaignStateDir::sweepOrphanLeases(double ttlSec)
-{
-    fatalIf(!sharedMode(), "sweepOrphanLeases() needs shared mode");
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const ScopedFileLock fileLock(lockFd_);
-    const std::uint64_t now = wallMs();
-    for (std::size_t slot = 0; slot < nCells_; ++slot) {
-        const std::string path = leasePath(slot);
-        struct ::stat st{};
-        if (::stat(path.c_str(), &st) != 0)
-            continue;
-        const std::optional<LeaseFile> lease =
-            parseLease(readFile(path));
-        const bool alive =
-            lease &&
-            (::kill(lease->pid, 0) == 0 || errno == EPERM);
-        const double hbAge = mtimeAgeSec(st);
-        if (alive && hbAge <= ttlSec) {
-            LeaseInfo info;
-            info.slot = slot;
-            info.pid = lease->pid;
-            info.claimMs = lease->claimMs;
-            info.heartbeatAgeSec = hbAge;
-            info.claimAgeSec = now > lease->claimMs
-                                   ? static_cast<double>(
-                                         now - lease->claimMs) *
-                                         1e-3
-                                   : 0.0;
-            return info;
-        }
-        // Dead pid, stale heartbeat, or unparseable: an orphan of a
-        // killed fleet. The lease is dropped, not the kill counter —
-        // the loss is charged when the *owning* supervisor reaps, and
-        // an orphan sweep happens only at fleet startup where no
-        // attempt was lost on this supervisor's watch.
-        ::unlink(path.c_str());
-    }
-    return std::nullopt;
+    injector.afterManifest(ordinal);
 }
 
 } // namespace cohmeleon::app

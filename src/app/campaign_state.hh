@@ -7,9 +7,8 @@
  *
  *     campaign.spec     the expanded campaign's identity — the
  *                       canonical serializeCampaign() text with the
- *                       execution-harness keys (fault, max-retries,
- *                       workers, lease-ttl, cell-timeout) cleared,
- *                       written once per fresh run
+ *                       execution-harness keys (fault, max-retries)
+ *                       cleared, written once per fresh run
  *     MANIFEST          which unique cell slots are complete:
  *
  *                           cohmeleon-manifest 1
@@ -22,17 +21,7 @@
  *     cells/cell<slot>.result   one serialized CellResult per
  *                               completed slot
  *
- *     LOCK                      fcntl(F_SETLKW) mutex serializing
- *                               claim/reclaim/manifest updates across
- *                               worker processes (shared mode only)
- *     leases/slot<N>.lease      slot N is claimed: pid, wall-clock
- *                               claim time, slot; the file's mtime is
- *                               the holder's heartbeat (created
- *                               O_EXCL — creation IS the claim)
- *     leases/slot<N>.kills      how many of slot N's attempts died
- *                               with the process (worker crash or
- *                               watchdog kill), so attempt numbering
- *                               survives process boundaries
+ * Anything else in the directory is ignored.
  *
  * Every file lands via atomicWriteFile(), and the manifest is
  * atomically *rewritten* (entries sorted by slot) after each cell —
@@ -47,26 +36,6 @@
  * validated with scenario.cc-style line-numbered diagnostics —
  * resuming against the wrong campaign or a truncated file is a hard
  * error, never a silent wrong answer.
- *
- * Shared (multi-process) mode: after openShared()/attach(), several
- * CampaignStateDir instances in several processes drive one
- * directory. Claiming is exclusive by construction (O_EXCL lease
- * creation), manifest updates are read-merge-write unions under the
- * fcntl lock, and a dead holder's lease is reclaimable once its
- * heartbeat goes TTL-stale (workers) or its pid is reaped (the fleet
- * supervisor, which also bumps the kill counter so the next claimer
- * continues the attempt numbering deterministically).
- *
- * Concurrency audit notes (PR 8): the heartbeat thread lives in
- * app/heartbeat.hh (one mutex guards all its state, beats run under
- * it); heartbeat-vs-reclaim on a lease file is a filesystem-level
- * TOCTOU that is benign by design — a beat on a dropped lease just
- * reports false — and invisible to TSan (tools/tsan.supp documents
- * why it needs no suppression). The wall-clock reads in
- * campaign_state.cc (lease claim timestamps, mtime staleness) are
- * harness state that never reaches campaign results; they carry
- * audited `determinism: allow(wall-clock, ...)` annotations for
- * tools/lint_determinism.py.
  */
 
 #ifndef COHMELEON_APP_CAMPAIGN_STATE_HH
@@ -76,7 +45,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,8 +73,6 @@ class CampaignStateDir
     /** Binds to @p dir without touching the filesystem; call
      *  initialize() or restore() next. */
     explicit CampaignStateDir(std::string dir);
-
-    ~CampaignStateDir();
 
     const std::string &dir() const { return dir_; }
 
@@ -137,96 +103,13 @@ class CampaignStateDir
 
     /**
      * Persist slot @p slot's result and fold it into the manifest.
-     * Thread-safe. @p injector (nullable) is invoked at the three
+     * Thread-safe. @p injector is invoked at the three
      * persistence boundaries: before the cell-file write, between
      * that write and the manifest update, and after the manifest
-     * update is durable. In shared mode the manifest update is a
-     * read-merge-write union under the fcntl lock, so concurrent
-     * workers never lose each other's entries.
+     * update is durable.
      */
     void record(std::size_t slot, const std::string &name,
-                const CellResult &result, FaultInjector *injector);
-
-    // ----- shared (multi-process worker-fleet) mode -----------------
-
-    /** One claimed cell: the slot plus how many prior attempts on it
-     *  died with their process, so the claimer numbers its own
-     *  attempts starting at priorKills + 1. */
-    struct CellClaim
-    {
-        std::size_t slot = 0;
-        unsigned priorKills = 0;
-    };
-
-    /** Snapshot of one lease file. */
-    struct LeaseInfo
-    {
-        std::size_t slot = 0;
-        int pid = 0;
-        std::uint64_t claimMs = 0;  ///< wall-clock ms at claim
-        double heartbeatAgeSec = 0; ///< now - lease mtime
-        double claimAgeSec = 0;     ///< now - claimMs
-    };
-
-    /** Enter shared mode: create `<dir>/leases/` and open (creating
-     *  if needed) the `<dir>/LOCK` fcntl mutex. Idempotent. */
-    void openShared();
-
-    /**
-     * Bind a worker to an already initialized/restored directory:
-     * validate campaign.spec against @p specText, load the manifest's
-     * done entries (light validation — the supervisor's restore()
-     * already vetted the cell files), and enter shared mode.
-     * @return the number of slots already done
-     * @throws FatalError on a spec mismatch or malformed manifest
-     */
-    std::size_t attach(const std::string &specText,
-                       std::size_t nCells);
-
-    /**
-     * Claim the lowest unfinished, unleased slot by creating its
-     * lease file O_EXCL. A lease whose heartbeat is older than
-     * @p ttlSec is presumed orphaned and reclaimed in place.
-     * @return nullopt when every remaining slot is done or held by a
-     *         live lease
-     */
-    std::optional<CellClaim> claimNext(double ttlSec);
-
-    /** Touch slot @p slot's lease mtime (the holder's heartbeat).
-     *  @return false when the lease no longer exists (reclaimed) */
-    bool heartbeat(std::size_t slot);
-
-    /** Drop slot @p slot's lease (after record(), or on abandon). */
-    void release(std::size_t slot);
-
-    /** Completed-slot count per the on-disk manifest (shared mode:
-     *  merged under the lock before counting). */
-    std::size_t doneCount();
-
-    /**
-     * Supervisor-side reclaim after reaping worker @p pid: drop its
-     * lease. When the leased slot was not recorded done, the kill
-     * counter is bumped and the slot is returned (priorKills = total
-     * killed attempts, the new counter value) so the caller can
-     * decide between respawn-and-retry and recording a contained
-     * failure. A lease whose slot is done reclaims silently.
-     */
-    std::optional<CellClaim> reclaimWorkerLease(int pid);
-
-    /** Leases whose claim is older than @p timeoutSec wall-clock
-     *  seconds and whose slot is not done — the --cell-timeout
-     *  watchdog's kill list. Claim age, not heartbeat age: a wedged
-     *  worker's heartbeat thread keeps beating. */
-    std::vector<LeaseInfo> overdueClaims(double timeoutSec);
-
-    /**
-     * Startup sweep: unlink leases held by dead pids or with
-     * TTL-stale heartbeats (orphans of a killed supervisor). A lease
-     * whose holder is alive with a fresh heartbeat is returned
-     * instead — the caller should refuse to run (another fleet owns
-     * the directory).
-     */
-    std::optional<LeaseInfo> sweepOrphanLeases(double ttlSec);
+                const CellResult &result, FaultInjector &injector);
 
   private:
     struct Entry
@@ -236,18 +119,12 @@ class CampaignStateDir
         std::string name;
     };
 
-    bool sharedMode() const { return lockFd_ >= 0; }
     std::string cellPath(std::size_t slot) const;
-    std::string leasePath(std::size_t slot) const;
-    std::string killsPath(std::size_t slot) const;
     std::string manifestText() const;
-    void mergeManifestFromDiskLocked();
-    unsigned killCountLocked(std::size_t slot) const;
 
     std::string dir_;
     std::uint64_t specHash_ = 0;
     std::size_t nCells_ = 0;
-    int lockFd_ = -1;                   ///< <dir>/LOCK (shared mode)
     std::mutex mutex_;                  ///< guards done_ + manifest
     std::map<std::size_t, Entry> done_; ///< completed slots, sorted
 };

@@ -3,9 +3,6 @@
 #include <csignal>
 #include <cstdlib>
 
-#include <sys/types.h>
-#include <unistd.h>
-
 namespace cohmeleon::app
 {
 
@@ -14,7 +11,7 @@ namespace
 
 constexpr const char *kKnownForms =
     "none, crash-before-write@N, crash-after-write@N, "
-    "sigint-after-write@N, fail@SLOT:K, kill-worker@N, hang@SLOT";
+    "sigint-after-write@N, fail@SLOT:K";
 
 /** Strict non-negative integer (no sign, no trailing garbage). */
 bool
@@ -57,18 +54,11 @@ checkFaultPlanText(const std::string &text)
     };
     std::size_t n = 0;
     if (numbered("crash-before-write@") || numbered("crash-after-write@") ||
-        numbered("sigint-after-write@") || numbered("kill-worker@")) {
+        numbered("sigint-after-write@")) {
         const std::string arg = text.substr(text.find('@') + 1);
         if (!parseIndex(arg, n))
             return "bad write ordinal '" + arg + "' in fault '" +
                    text + "'";
-        return "";
-    }
-    if (numbered("hang@")) {
-        const std::string arg = text.substr(5);
-        if (!parseIndex(arg, n))
-            return "bad cell slot '" + arg + "' in fault '" + text +
-                   "'";
         return "";
     }
     if (numbered("fail@")) {
@@ -115,10 +105,6 @@ faultPlanFromString(const std::string &text)
         p.kind = FaultPlan::Kind::kCrashBeforeWrite;
     else if (text.rfind("crash-after-write@", 0) == 0)
         p.kind = FaultPlan::Kind::kCrashAfterWrite;
-    else if (text.rfind("kill-worker@", 0) == 0)
-        p.kind = FaultPlan::Kind::kKillWorker;
-    else if (text.rfind("hang@", 0) == 0)
-        p.kind = FaultPlan::Kind::kHangCell;
     else
         p.kind = FaultPlan::Kind::kSigintAfterWrite;
     parseIndex(text.substr(text.find('@') + 1), p.ordinal);
@@ -140,10 +126,6 @@ toString(const FaultPlan &plan)
       case FaultPlan::Kind::kFailCell:
         return "fail@" + std::to_string(plan.ordinal) + ":" +
                std::to_string(plan.failCount);
-      case FaultPlan::Kind::kKillWorker:
-        return "kill-worker@" + std::to_string(plan.ordinal);
-      case FaultPlan::Kind::kHangCell:
-        return "hang@" + std::to_string(plan.ordinal);
     }
     return "none";
 }
@@ -173,12 +155,6 @@ FaultInjector::afterManifest(std::size_t ordinal)
     if (plan_.kind == FaultPlan::Kind::kSigintAfterWrite &&
         ordinal == plan_.ordinal)
         std::raise(SIGINT);
-    if (plan_.kind == FaultPlan::Kind::kKillWorker &&
-        ordinal == plan_.ordinal) {
-        // raise(SIGKILL) — not _Exit — so the supervisor sees a real
-        // signal death, exactly what an OOM kill looks like.
-        ::kill(::getpid(), SIGKILL);
-    }
 }
 
 bool
@@ -186,13 +162,6 @@ FaultInjector::shouldFail(std::size_t slot, unsigned attempt) const
 {
     return plan_.kind == FaultPlan::Kind::kFailCell &&
            slot == plan_.ordinal && attempt <= plan_.failCount;
-}
-
-bool
-FaultInjector::shouldHang(std::size_t slot, unsigned attempt) const
-{
-    return plan_.kind == FaultPlan::Kind::kHangCell &&
-           slot == plan_.ordinal && attempt == 1;
 }
 
 void

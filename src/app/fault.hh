@@ -23,22 +23,15 @@
  *                            signal path)
  *     fail@SLOT:K            cell slot SLOT throws on its first K
  *                            attempts (retry/containment testing)
- *     kill-worker@N          SIGKILL the executing process after its
- *                            Nth result write lands in the manifest
- *                            (worker-fleet crash containment — the
- *                            result is durable, the process is not)
- *     hang@SLOT              cell slot SLOT sleeps forever on its
- *                            first attempt (exercises the
- *                            --cell-timeout watchdog; retries run
- *                            normally)
  *
  * Crash ordinals count result writes in completion order within one
- * process, so the crash point under --jobs N is whichever cell
- * finishes Nth — resume correctness cannot depend on which subset
- * was persisted, and the tests exploit that. fail@ and hang@ key on
- * the deterministic slot index instead, so their effect (and the
- * recorded attempt count) is identical at every --jobs width and
- * every --workers fleet size.
+ * run, so the crash point under --jobs N is whichever cell finishes
+ * Nth — resume correctness cannot depend on which subset was
+ * persisted, and the tests exploit that. fail@ keys on the
+ * deterministic slot index instead, so its effect (and the recorded
+ * attempt count) is identical at every --jobs width. A plan that can
+ * never fire (a slot or ordinal past what the run executes) is
+ * rejected by CampaignRunner::run rather than silently ignored.
  */
 
 #ifndef COHMELEON_APP_FAULT_HH
@@ -68,13 +61,10 @@ struct FaultPlan
         kCrashAfterWrite,
         kSigintAfterWrite,
         kFailCell,
-        kKillWorker,
-        kHangCell,
     };
 
     Kind kind = Kind::kNone;
-    /** Write ordinal (crash/sigint/kill-worker kinds) or cell slot
-     *  (kFailCell, kHangCell). */
+    /** Write ordinal (crash/sigint kinds) or cell slot (kFailCell). */
     std::size_t ordinal = 0;
     /** kFailCell: how many leading attempts throw. */
     unsigned failCount = 0;
@@ -113,21 +103,12 @@ class FaultInjector
     void afterWrite(std::size_t ordinal);
 
     /** Called after the manifest update is durable; raises SIGINT on
-     *  a matching sigint-after-write plan and SIGKILLs the process on
-     *  a matching kill-worker plan (the recorded result survives, the
-     *  process does not — the closest scriptable stand-in for an OOM
-     *  kill of one fleet worker). */
+     *  a matching sigint-after-write plan. */
     void afterManifest(std::size_t ordinal);
 
     /** Should cell @p slot's attempt number @p attempt (1-based)
      *  throw an injected failure? */
     bool shouldFail(std::size_t slot, unsigned attempt) const;
-
-    /** Should cell @p slot's attempt number @p attempt (1-based)
-     *  sleep past the watchdog? Only a hang@ plan's slot hangs, and
-     *  only on the first attempt — the post-kill retry runs clean, so
-     *  watchdog containment is testable without flaky timing. */
-    bool shouldHang(std::size_t slot, unsigned attempt) const;
 
   private:
     FaultPlan plan_;
@@ -138,15 +119,6 @@ class FaultInjector
  *  left unrun; the manifest was flushed first, so --resume picks up
  *  exactly where the run stopped. */
 class CampaignInterrupted : public FatalError
-{
-  public:
-    using FatalError::FatalError;
-};
-
-/** Thrown by the fleet supervisor when its workers died faster than
- *  the respawn budget allowed and cells are left unrun. Everything
- *  completed so far is in the manifest; --resume finishes the run. */
-class CampaignIncomplete : public FatalError
 {
   public:
     using FatalError::FatalError;

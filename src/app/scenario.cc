@@ -418,33 +418,11 @@ parseCampaign(std::istream &is)
                     lineFatal(l.no, "max-retries " +
                                         std::to_string(c.maxRetries) +
                                         " too large (cap: 1000)");
-            } else if (l.key == "workers") {
-                c.workers = parseU32At(l.value, l.no);
-                if (c.workers == 0)
-                    lineFatal(l.no, "workers must be positive (omit "
-                                    "the key for in-process runs)");
-                if (c.workers > 1024)
-                    lineFatal(l.no, "workers " +
-                                        std::to_string(c.workers) +
-                                        " too large (cap: 1024)");
-            } else if (l.key == "lease-ttl") {
-                c.leaseTtlSec = parseDoubleAt(l.value, l.no);
-                if (!(c.leaseTtlSec > 0.0) ||
-                    c.leaseTtlSec > 86400.0)
-                    lineFatal(l.no, "lease-ttl must be in (0, 86400] "
-                                    "seconds");
-            } else if (l.key == "cell-timeout") {
-                c.cellTimeoutSec = parseDoubleAt(l.value, l.no);
-                if (!(c.cellTimeoutSec > 0.0) ||
-                    c.cellTimeoutSec > 86400.0)
-                    lineFatal(l.no, "cell-timeout must be in "
-                                    "(0, 86400] seconds");
             } else {
                 lineFatal(l.no, "unknown top-level key '" + l.key +
                                     "' (known: campaign, baseline, "
-                                    "fault, max-retries, workers, "
-                                    "lease-ttl, cell-timeout; "
-                                    "scenario keys go in a "
+                                    "fault, max-retries; scenario "
+                                    "keys go in a "
                                     "[scenario] section)");
             }
             break;
@@ -627,13 +605,6 @@ serializeCampaign(const CampaignSpec &spec)
         os << "fault = " << toString(spec.fault) << '\n';
     if (spec.maxRetries != 0)
         os << "max-retries = " << spec.maxRetries << '\n';
-    if (spec.workers != 0)
-        os << "workers = " << spec.workers << '\n';
-    if (spec.leaseTtlSec != 0.0)
-        os << "lease-ttl = " << fmtDouble(spec.leaseTtlSec) << '\n';
-    if (spec.cellTimeoutSec != 0.0)
-        os << "cell-timeout = " << fmtDouble(spec.cellTimeoutSec)
-           << '\n';
 
     os << "\n[scenario]\n";
     writeScenarioKeys(os, spec.base, /*withName=*/true);

@@ -216,20 +216,13 @@ struct CampaignSpec
      *  they are the whole campaign (the ablation layout). */
     std::vector<ScenarioSpec> cells;
 
-    /** Execution-harness defaults (`fault =`, `max-retries =`,
-     *  `workers =`, `lease-ttl =`, `cell-timeout =`): a scripted
-     *  fault, the per-cell retry budget for throwing cells, and the
-     *  supervised worker-fleet knobs (process count, lease staleness
-     *  TTL in seconds, per-cell watchdog timeout in seconds). CLI
-     *  flags override them, and all are cleared from the identity
-     *  --resume validates against — they change how the campaign is
-     *  driven, not what it computes, so a run may be resumed at any
-     *  worker count. */
+    /** Execution-harness defaults (`fault =`, `max-retries =`): a
+     *  scripted fault and the per-cell retry budget for throwing
+     *  cells. CLI flags override them, and both are cleared from the
+     *  identity --resume validates against — they change how the
+     *  campaign is driven, not what it computes. */
     FaultPlan fault;
     unsigned maxRetries = 0;
-    unsigned workers = 0;        ///< 0 = in-process (no fleet)
-    double leaseTtlSec = 0.0;    ///< 0 = the harness default (30s)
-    double cellTimeoutSec = 0.0; ///< 0 = no watchdog
 
     bool operator==(const CampaignSpec &) const = default;
 };

