@@ -343,8 +343,7 @@ runProtocolCell(const ScenarioSpec &s,
     out.appName = evalApp.name;
 
     const bool wantsModelFlow =
-        !s.loadModel.empty() || !s.loadQtable.empty() ||
-        !s.saveModel.empty() || !s.saveQtable.empty() ||
+        !s.loadModel.empty() || !s.saveModel.empty() ||
         s.trainShards > 0 ||
         (transferModels != nullptr && s.policy == "cohmeleon");
 
@@ -370,7 +369,6 @@ runProtocolCell(const ScenarioSpec &s,
         dynamic_cast<policy::CohmeleonPolicy *>(policy.get());
     fatalIf(cohm == nullptr &&
                 (!s.loadModel.empty() || !s.saveModel.empty() ||
-                 !s.loadQtable.empty() || !s.saveQtable.empty() ||
                  s.trainShards > 0),
             "the model/training options only apply to the cohmeleon "
             "policy (cell '", s.name, "' runs ", s.policy, ")");
@@ -411,14 +409,6 @@ runProtocolCell(const ScenarioSpec &s,
             t.source = TrainSummary::Source::kTransfer;
             modelMerge = ckpt.merge;
             summarizeModel(t, ckpt);
-        } else if (!s.loadQtable.empty()) {
-            std::ifstream in(s.loadQtable);
-            fatalIf(!in, "cannot open '", s.loadQtable, "'");
-            cohm->agent().table().load(in);
-            cohm->freeze();
-            t.source = TrainSummary::Source::kLoaded;
-            t.qUpdates = cohm->agent().table().totalVisits();
-            t.entriesCovered = cohm->agent().table().updatedEntries();
         } else if (s.trainShards > 0) {
             // Sharded deterministic training, serial inside the cell
             // (cells themselves are the parallel unit). The model is
@@ -455,11 +445,6 @@ runProtocolCell(const ScenarioSpec &s,
             t.qUpdates = cohm->agent().model().totalVisits();
             t.entriesCovered = cohm->agent().model().updatedEntries();
             t.iteration = eopts.trainIterations;
-        }
-        if (!s.saveQtable.empty()) {
-            std::ofstream qout(s.saveQtable);
-            fatalIf(!qout, "cannot open '", s.saveQtable, "'");
-            cohm->agent().table().save(qout);
         }
         if (!s.saveModel.empty()) {
             policy::PolicyCheckpoint snap =
@@ -759,15 +744,6 @@ CampaignRunner::run(const CampaignSpec &spec,
         cellSlot[i] = it->second;
     }
 
-    // The effective execution harness: CLI options override the
-    // spec's own harness keys.
-    const unsigned maxRetries =
-        opts.maxRetries == CampaignRunOptions::kRetriesFromSpec
-            ? spec.maxRetries
-            : opts.maxRetries;
-    const FaultPlan fault =
-        opts.fault.active() ? opts.fault : spec.fault;
-
     std::unique_ptr<CampaignStateDir> state;
     std::map<std::size_t, CellResult> restored;
     std::string identityText;
@@ -784,11 +760,11 @@ CampaignRunner::run(const CampaignSpec &spec,
             restored =
                 state->restore(identityText, slotKeys, slotNames);
     }
-    checkFaultCanFire(fault, uniqueCells.size(),
+    checkFaultCanFire(spec.fault, uniqueCells.size(),
                       state ? uniqueCells.size() - restored.size() : 0);
     if (state && !opts.resume)
         state->initialize(identityText, uniqueCells.size());
-    FaultInjector injector(fault);
+    FaultInjector injector(spec.fault);
 
     // Stage 1 (optional): cross-SoC transfer training. The models
     // are serialized once and restored per cell, keeping cells free
@@ -829,7 +805,7 @@ CampaignRunner::run(const CampaignSpec &spec,
         const ScenarioSpec &cellSpec =
             expanded[uniqueCells[slot]].spec;
         const CellResult result = runCellAttempts(
-            cellSpec, slot, maxRetries, injector, merged);
+            cellSpec, slot, spec.maxRetries, injector, merged);
         unique[slot] = result;
         if (state)
             state->record(slot, cellSpec.name, result, injector);

@@ -51,7 +51,7 @@ struct TrainSummary
         kNone,     ///< the policy does not learn
         kOnline,   ///< trained online inside the cell
         kSharded,  ///< sharded deterministic training inside the cell
-        kLoaded,   ///< restored from a checkpoint/Q-table file
+        kLoaded,   ///< restored from a checkpoint file
         kTransfer, ///< the campaign's merged cross-SoC model
     };
 
@@ -124,16 +124,13 @@ struct CampaignResult
 };
 
 /**
- * Execution-harness options for one campaign run: persistence,
- * resumability, retries, and fault injection. None of them changes
- * what a cell computes — a resumed or retried campaign renders JSON
+ * Persistence options for one campaign run (retries and fault
+ * injection are the spec's own `max-retries`/`fault` keys). Neither
+ * changes what a cell computes — a resumed campaign renders JSON
  * byte-identical to an uninterrupted run of the same spec.
  */
 struct CampaignRunOptions
 {
-    /** Sentinel for maxRetries: take the CampaignSpec's value. */
-    static constexpr unsigned kRetriesFromSpec = UINT32_MAX;
-
     /** Campaign state directory (cell results + manifest stream into
      *  it as cells complete). Empty = in-memory only. */
     std::string stateDir;
@@ -141,13 +138,6 @@ struct CampaignRunOptions
     /** Validate stateDir against the spec and skip the cells its
      *  manifest records as complete. Requires stateDir. */
     bool resume = false;
-
-    /** Per-cell retry budget for throwing cells (attempts = retries
-     *  + 1). kRetriesFromSpec defers to spec.maxRetries. */
-    unsigned maxRetries = kRetriesFromSpec;
-
-    /** Injected fault; an inactive plan defers to spec.fault. */
-    FaultPlan fault;
 };
 
 /** Expand-and-execute driver over a ParallelRunner. */

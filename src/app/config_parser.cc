@@ -71,11 +71,13 @@ parseSize(const std::string &text)
 void
 lineFatal(unsigned lineNo, const std::string &msg)
 {
+    if (lineNo == 0)
+        fatal(msg);
     fatal("line ", lineNo, ": ", msg);
 }
 
 std::uint64_t
-parseU64At(const std::string &text, unsigned lineNo)
+parseU64At(const std::string &text, unsigned lineNo, std::uint64_t max)
 {
     const std::string t = trimText(text);
     if (t.empty() || !std::isdigit(static_cast<unsigned char>(t[0])))
@@ -85,6 +87,9 @@ parseU64At(const std::string &text, unsigned lineNo)
         const std::uint64_t n = std::stoull(t, &used);
         if (used != t.size())
             lineFatal(lineNo, "trailing garbage in number '" + t + "'");
+        if (n > max)
+            lineFatal(lineNo, "number '" + t + "' too large (max " +
+                                  std::to_string(max) + ")");
         return n;
     } catch (const FatalError &) {
         throw;
@@ -94,12 +99,9 @@ parseU64At(const std::string &text, unsigned lineNo)
 }
 
 unsigned
-parseU32At(const std::string &text, unsigned lineNo)
+parseU32At(const std::string &text, unsigned lineNo, unsigned max)
 {
-    const std::uint64_t n = parseU64At(text, lineNo);
-    if (n > UINT32_MAX)
-        lineFatal(lineNo, "number '" + trimText(text) + "' too large");
-    return static_cast<unsigned>(n);
+    return static_cast<unsigned>(parseU64At(text, lineNo, max));
 }
 
 double
@@ -134,11 +136,7 @@ parseBoolAt(const std::string &text, unsigned lineNo)
 std::uint64_t
 parseSizeAt(const std::string &text, unsigned lineNo)
 {
-    try {
-        return parseSize(text);
-    } catch (const FatalError &e) {
-        lineFatal(lineNo, e.what());
-    }
+    return parseAt(parseSize, text, lineNo);
 }
 
 std::vector<ConfigLine>

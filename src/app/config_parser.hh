@@ -20,11 +20,13 @@
 #ifndef COHMELEON_APP_CONFIG_PARSER_HH
 #define COHMELEON_APP_CONFIG_PARSER_HH
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "app/app_spec.hh"
+#include "sim/logging.hh"
 
 namespace cohmeleon::app
 {
@@ -67,7 +69,8 @@ struct ConfigLine
 
 /** Throw FatalError("line <lineNo>: <msg>"). Callers whose grammar
  *  carries its own prefix ("serve spec line N: ...") catch and
- *  re-throw with it prepended. */
+ *  re-throw with it prepended. Line 0 marks a value that came from
+ *  no file (a command-line flag): the bare message is thrown. */
 [[noreturn]] void lineFatal(unsigned lineNo, const std::string &msg);
 
 /** Scan a spec stream into lines ('#' comments stripped, blanks
@@ -76,12 +79,29 @@ struct ConfigLine
 std::vector<ConfigLine> scanConfigLines(std::istream &is);
 
 /** Typed value parsers, all throwing via lineFatal() so malformed
- *  values carry the offending line number. */
-std::uint64_t parseU64At(const std::string &text, unsigned lineNo);
-unsigned parseU32At(const std::string &text, unsigned lineNo);
+ *  values carry the offending line number. The integer parsers
+ *  reject values above @p max. */
+std::uint64_t parseU64At(const std::string &text, unsigned lineNo,
+                         std::uint64_t max = UINT64_MAX);
+unsigned parseU32At(const std::string &text, unsigned lineNo,
+                    unsigned max = UINT32_MAX);
 double parseDoubleAt(const std::string &text, unsigned lineNo);
 bool parseBoolAt(const std::string &text, unsigned lineNo);
 std::uint64_t parseSizeAt(const std::string &text, unsigned lineNo);
+
+/** Parse a value with its own grammar (a strategy, model, fault plan
+ *  or policy name): @p parse's FatalError becomes a lineFatal(). */
+template <typename Parse>
+auto
+parseAt(Parse &&parse, const std::string &text, unsigned lineNo)
+    -> decltype(parse(text))
+{
+    try {
+        return parse(text);
+    } catch (const FatalError &e) {
+        lineFatal(lineNo, e.what());
+    }
+}
 
 } // namespace cohmeleon::app
 

@@ -42,8 +42,8 @@ const std::string &knownPolicyFormsText();
 
 /**
  * Structured decomposition of a policy-name string — the single
- * parser behind checkPolicyName(), makePolicyByName(), and every spec
- * layer, so all of them accept exactly the same grammar.
+ * parser behind makePolicyByName() and every spec layer, so all of
+ * them accept exactly the same grammar.
  */
 struct ParsedPolicy
 {

@@ -40,6 +40,8 @@ parseModeListAt(const std::string &text, unsigned lineNo)
     return mask;
 }
 
+} // namespace
+
 // --------------------------------------------------- scenario keys
 
 void
@@ -130,37 +132,22 @@ applyScenarioKey(ScenarioSpec &s, const ConfigLine &l)
             lineFatal(no, "train-app must be same or dense, got '" +
                               value + "'");
     } else if (key == "policy") {
-        const std::string err = checkPolicyName(value);
-        if (!err.empty())
-            lineFatal(no, err);
+        parseAt(parsePolicyName, value, no);
         s.policy = value;
     } else if (key == "train") {
-        s.trainIterations = parseU32At(value, no);
+        s.trainIterations = parseU32At(value, no, 1'000'000);
     } else if (key == "shards") {
-        s.trainShards = parseU32At(value, no);
+        s.trainShards = parseU32At(value, no, 4096);
     } else if (key == "merge") {
-        const std::string err = rl::checkMergeSpecText(value);
-        if (!err.empty())
-            lineFatal(no, err);
-        s.merge = rl::mergeSpecFromString(value);
+        s.merge = parseAt(rl::mergeSpecFromString, value, no);
     } else if (key == "explore") {
-        const std::string err = rl::checkExploreSpecText(value);
-        if (!err.empty())
-            lineFatal(no, err);
-        s.explore = rl::exploreSpecFromString(value);
+        s.explore = parseAt(rl::exploreSpecFromString, value, no);
     } else if (key == "model") {
-        const std::string err = rl::checkModelSpecText(value);
-        if (!err.empty())
-            lineFatal(no, err);
-        s.model = rl::modelSpecFromString(value);
+        s.model = parseAt(rl::modelSpecFromString, value, no);
     } else if (key == "load-model") {
         s.loadModel = value;
     } else if (key == "save-model") {
         s.saveModel = value;
-    } else if (key == "load-qtable") {
-        s.loadQtable = value;
-    } else if (key == "save-qtable") {
-        s.saveQtable = value;
     } else if (key == "freeze-loaded") {
         s.freezeLoaded = parseBoolAt(value, no);
     } else if (key == "seed") {
@@ -197,10 +184,8 @@ applyScenarioKey(ScenarioSpec &s, const ConfigLine &l)
         if (trimText(value) == "-1") {
             s.accIndex = -1;
         } else {
-            const unsigned v = parseU32At(value, no);
-            if (v > INT32_MAX)
-                lineFatal(no, "acc-index too large");
-            s.accIndex = static_cast<int>(v);
+            s.accIndex =
+                static_cast<int>(parseU32At(value, no, INT32_MAX));
         }
     } else if (key == "footprint") {
         s.footprintBytes = parseSizeAt(value, no);
@@ -215,7 +200,10 @@ applyScenarioKey(ScenarioSpec &s, const ConfigLine &l)
     }
 }
 
-// --------------------------------------------------- campaign keys
+namespace
+{
+
+// ------------------------------------------- axis and [train] keys
 
 /**
  * splitList() for axis values whose entries may themselves contain
@@ -258,9 +246,7 @@ applyAxisKey(CampaignSpec &c, const ConfigLine &l)
         }
     } else if (l.key == "policy") {
         for (const std::string &p : parts) {
-            const std::string err = checkPolicyName(p);
-            if (!err.empty())
-                lineFatal(l.no, err);
+            parseAt(parsePolicyName, p, l.no);
             c.policies.push_back(p);
         }
     } else if (l.key == "seed") {
@@ -277,26 +263,15 @@ applyAxisKey(CampaignSpec &c, const ConfigLine &l)
             c.accCounts.push_back(n);
         }
     } else if (l.key == "merge") {
-        for (const std::string &p : parts) {
-            const std::string err = rl::checkMergeSpecText(p);
-            if (!err.empty())
-                lineFatal(l.no, err);
-            c.merges.push_back(rl::mergeSpecFromString(p));
-        }
+        for (const std::string &p : parts)
+            c.merges.push_back(parseAt(rl::mergeSpecFromString, p, l.no));
     } else if (l.key == "explore") {
-        for (const std::string &p : parts) {
-            const std::string err = rl::checkExploreSpecText(p);
-            if (!err.empty())
-                lineFatal(l.no, err);
-            c.explores.push_back(rl::exploreSpecFromString(p));
-        }
+        for (const std::string &p : parts)
+            c.explores.push_back(
+                parseAt(rl::exploreSpecFromString, p, l.no));
     } else if (l.key == "model") {
-        for (const std::string &p : parts) {
-            const std::string err = rl::checkModelSpecText(p);
-            if (!err.empty())
-                lineFatal(l.no, err);
-            c.models.push_back(rl::modelSpecFromString(p));
-        }
+        for (const std::string &p : parts)
+            c.models.push_back(parseAt(rl::modelSpecFromString, p, l.no));
     } else {
         lineFatal(l.no, "unknown axis '" + l.key +
                             "' (known: soc, policy, seed, shards, "
@@ -332,12 +307,34 @@ applyTrainKey(CampaignSpec &c, const ConfigLine &l)
 
 } // namespace
 
+// --------------------------------------------------- campaign keys
+
+void
+applyCampaignKey(CampaignSpec &c, const ConfigLine &l)
+{
+    if (l.key == "campaign") {
+        c.name = l.value;
+    } else if (l.key == "baseline") {
+        if (l.value != "none")
+            parseAt(parsePolicyName, l.value, l.no);
+        c.baseline = l.value;
+    } else if (l.key == "fault") {
+        c.fault = parseAt(faultPlanFromString, l.value, l.no);
+    } else if (l.key == "max-retries") {
+        c.maxRetries = parseU32At(l.value, l.no, 1000);
+    } else {
+        lineFatal(l.no, "unknown top-level key '" + l.key +
+                            "' (known: campaign, baseline, fault, "
+                            "max-retries; scenario keys go in a "
+                            "[scenario] section)");
+    }
+}
+
 // ------------------------------------------------------------ parsing
 
 ScenarioSpec
-parseScenario(std::istream &is)
+parseScenario(std::istream &is, ScenarioSpec s)
 {
-    ScenarioSpec s;
     for (const ConfigLine &l : scanConfigLines(is)) {
         if (l.isSection)
             lineFatal(l.no, "scenario files have no sections (put "
@@ -397,34 +394,8 @@ parseCampaign(std::istream &is)
 
         switch (section) {
           case Section::kTop:
-            if (l.key == "campaign") {
-                c.name = l.value;
-                named = true;
-            } else if (l.key == "baseline") {
-                if (l.value != "none") {
-                    const std::string err = checkPolicyName(l.value);
-                    if (!err.empty())
-                        lineFatal(l.no, err);
-                }
-                c.baseline = l.value;
-            } else if (l.key == "fault") {
-                const std::string err = checkFaultPlanText(l.value);
-                if (!err.empty())
-                    lineFatal(l.no, err);
-                c.fault = faultPlanFromString(l.value);
-            } else if (l.key == "max-retries") {
-                c.maxRetries = parseU32At(l.value, l.no);
-                if (c.maxRetries > 1000)
-                    lineFatal(l.no, "max-retries " +
-                                        std::to_string(c.maxRetries) +
-                                        " too large (cap: 1000)");
-            } else {
-                lineFatal(l.no, "unknown top-level key '" + l.key +
-                                    "' (known: campaign, baseline, "
-                                    "fault, max-retries; scenario "
-                                    "keys go in a "
-                                    "[scenario] section)");
-            }
+            named = named || l.key == "campaign";
+            applyCampaignKey(c, l);
             break;
           case Section::kScenario:
             applyScenarioKey(c.base, l);
@@ -549,10 +520,6 @@ writeScenarioKeys(std::ostream &os, const ScenarioSpec &s,
         os << "load-model = " << s.loadModel << '\n';
     if (!s.saveModel.empty())
         os << "save-model = " << s.saveModel << '\n';
-    if (!s.loadQtable.empty())
-        os << "load-qtable = " << s.loadQtable << '\n';
-    if (!s.saveQtable.empty())
-        os << "save-qtable = " << s.saveQtable << '\n';
     os << "freeze-loaded = " << (s.freezeLoaded ? "true" : "false")
        << '\n';
     os << "seed = " << s.evalSeed << '\n';
@@ -718,17 +685,6 @@ figureApp(const std::string &name)
     }
     spec.phases.push_back(medium);
     return spec;
-}
-
-std::string
-checkPolicyName(const std::string &name)
-{
-    try {
-        parsePolicyName(name);
-        return "";
-    } catch (const FatalError &e) {
-        return e.what();
-    }
 }
 
 } // namespace cohmeleon::app

@@ -54,6 +54,7 @@
 #include <utility>
 #include <vector>
 
+#include "app/config_parser.hh"
 #include "app/fault.hh"
 #include "app/random_app.hh"
 #include "coh/coherence_mode.hh"
@@ -142,8 +143,6 @@ struct ScenarioSpec
     rl::ModelSpec model;
     std::string loadModel;    ///< checkpoint path replacing training
     std::string saveModel;    ///< persist the trained checkpoint
-    std::string loadQtable;   ///< legacy value-only Q-table restore
-    std::string saveQtable;   ///< legacy value-only Q-table persist
     /** Force-freeze a restored checkpoint (the CLI --eval split).
      *  When false, the checkpoint's own frozen flag decides —
      *  unfrozen checkpoints resume learning bit-exactly. */
@@ -216,11 +215,11 @@ struct CampaignSpec
      *  they are the whole campaign (the ablation layout). */
     std::vector<ScenarioSpec> cells;
 
-    /** Execution-harness defaults (`fault =`, `max-retries =`): a
-     *  scripted fault and the per-cell retry budget for throwing
-     *  cells. CLI flags override them, and both are cleared from the
-     *  identity --resume validates against — they change how the
-     *  campaign is driven, not what it computes. */
+    /** Execution harness (`fault =`, `max-retries =`, or the
+     *  --fault/--max-retries flags): a scripted fault and the
+     *  per-cell retry budget for throwing cells. Both are cleared
+     *  from the identity --resume validates against — they change
+     *  how the campaign is driven, not what it computes. */
     FaultPlan fault;
     unsigned maxRetries = 0;
 
@@ -232,12 +231,26 @@ struct CampaignSpec
 soc::SocConfig resolveSoc(const ScenarioSpec &spec);
 
 /**
- * Parse one scenario (bare key lines, no sections).
+ * Parse one scenario (bare key lines, no sections), its keys laid
+ * over @p base.
  * @throws FatalError with a line number on malformed input,
  *         unknown keys included
  */
-ScenarioSpec parseScenario(std::istream &is);
+ScenarioSpec parseScenario(std::istream &is, ScenarioSpec base = {});
 ScenarioSpec parseScenarioString(const std::string &text);
+
+/**
+ * Apply one scenario `key = value` line: the single handler behind
+ * scenario files, campaign [scenario]/[cell] sections, and the
+ * run/train/compare flags of cohmeleon_run (`--KEY VALUE`).
+ * @throws FatalError "line N: ..." on an unknown key or a bad value
+ */
+void applyScenarioKey(ScenarioSpec &s, const ConfigLine &l);
+
+/** Apply one top-level campaign key (campaign, baseline, fault,
+ *  max-retries); the campaign --fault/--max-retries flags go
+ *  through it too. @throws FatalError "line N: ..." */
+void applyCampaignKey(CampaignSpec &c, const ConfigLine &l);
 
 /** Parse a campaign file (see the file comment for the format).
  *  @throws FatalError with a line number on malformed input */
@@ -252,14 +265,6 @@ std::string serializeCampaign(const CampaignSpec &spec);
  *  @throws FatalError for unknown names */
 AppSpec figureApp(const std::string &name);
 const std::vector<std::string> &figureAppNames();
-
-/**
- * Validate a policy name as the campaign/CLI layers accept it: the
- * eight standard names plus the parameterized "manual@SIZE" and
- * "cohmeleon@MODEL" forms (a thin wrapper over parsePolicyName()).
- * @return empty on success, else a diagnostic listing known forms
- */
-std::string checkPolicyName(const std::string &name);
 
 } // namespace cohmeleon::app
 

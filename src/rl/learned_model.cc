@@ -123,17 +123,6 @@ modelSpecFromString(const std::string &text)
           ")");
 }
 
-std::string
-checkModelSpecText(const std::string &text)
-{
-    try {
-        modelSpecFromString(text);
-        return "";
-    } catch (const FatalError &e) {
-        return e.what();
-    }
-}
-
 std::ostream &
 operator<<(std::ostream &os, const ModelSpec &spec)
 {

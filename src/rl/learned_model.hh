@@ -85,10 +85,6 @@ std::string toString(const ModelSpec &spec);
  *          listing what is accepted */
 ModelSpec modelSpecFromString(const std::string &text);
 
-/** Validate text without throwing: empty on success, else the
- *  diagnostic (the checkPolicyName() convention). */
-std::string checkModelSpecText(const std::string &text);
-
 std::ostream &operator<<(std::ostream &os, const ModelSpec &spec);
 
 /** How many learnable slots the spec's backend allocates —

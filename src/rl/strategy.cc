@@ -187,28 +187,6 @@ exploreSpecFromString(const std::string &text)
           kKnownExplores, ")");
 }
 
-std::string
-checkMergeSpecText(const std::string &text)
-{
-    try {
-        mergeSpecFromString(text);
-        return "";
-    } catch (const FatalError &e) {
-        return e.what();
-    }
-}
-
-std::string
-checkExploreSpecText(const std::string &text)
-{
-    try {
-        exploreSpecFromString(text);
-        return "";
-    } catch (const FatalError &e) {
-        return e.what();
-    }
-}
-
 std::ostream &
 operator<<(std::ostream &os, const MergeSpec &spec)
 {

@@ -120,11 +120,6 @@ std::string toString(const ExploreSpec &spec);
 MergeSpec mergeSpecFromString(const std::string &text);
 ExploreSpec exploreSpecFromString(const std::string &text);
 
-/** Validate text without throwing, the way checkPolicyName() does:
- *  empty on success, else the diagnostic. */
-std::string checkMergeSpecText(const std::string &text);
-std::string checkExploreSpecText(const std::string &text);
-
 /** Stream the canonical form (campaign axis serialization). */
 std::ostream &operator<<(std::ostream &os, const MergeSpec &spec);
 std::ostream &operator<<(std::ostream &os, const ExploreSpec &spec);

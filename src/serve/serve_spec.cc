@@ -20,11 +20,11 @@ namespace
 // in config_parser.hh; their "line N: ..." diagnostics gain the
 // "serve spec " prefix via the catch-rethrow in parseServeSpecString.
 using app::lineFatal;
+using app::parseAt;
 using app::parseDoubleAt;
 using app::parseU32At;
 using app::parseU64At;
 using app::splitList;
-using app::trimText;
 
 std::string
 formatDouble(double v)
@@ -108,140 +108,124 @@ validateServeSpec(const ServeSpec &spec)
             "serve spec: arrival-rate must be a finite number >= 0");
 }
 
-namespace
+void
+ServeKeys::apply(const app::ConfigLine &l)
 {
+    const unsigned no = l.no;
+    const std::string &key = l.key;
+    const std::string &value = l.value;
 
-/** The key dispatch behind parseServeSpecString(); throws with bare
- *  "line N: ..." diagnostics (the caller adds the family prefix). */
-ServeSpec
-parseServeSpecLines(const std::string &text, bool &sawTenants,
-                    std::vector<double> &tenantWeights,
-                    unsigned &tenantWeightsLine)
-{
-    ServeSpec spec;
-    spec.tenants.clear();
-
-    std::istringstream is(text);
-    for (const app::ConfigLine &l : app::scanConfigLines(is)) {
-        if (l.isSection)
-            lineFatal(l.no, "serve specs have no sections (put the "
-                            "keys at top level)");
-        const unsigned no = l.no;
-        const std::string &key = l.key;
-        const std::string &value = l.value;
-
-        if (key == "serve") {
-            if (value.empty())
-                lineFatal(no, "serve needs a name");
-            spec.name = value;
-        } else if (key == "soc") {
-            if (!soc::isKnownSocName(value))
-                lineFatal(no, "unknown SoC '" + value + "' (known: " +
-                                  soc::knownSocNamesText() + ")");
-            spec.soc = value;
-        } else if (key == "requests") {
-            spec.requests = parseU64At(value, no);
-        } else if (key == "threads") {
-            spec.threads = parseU32At(value, no);
-        } else if (key == "swap-interval") {
-            spec.swapInterval = parseU64At(value, no);
-        } else if (key == "train") {
-            spec.trainIterations = parseU32At(value, no);
-        } else if (key == "shards") {
-            spec.trainShards = parseU32At(value, no);
-        } else if (key == "merge") {
-            const std::string diag = rl::checkMergeSpecText(value);
+    if (key == "serve") {
+        if (value.empty())
+            lineFatal(no, "serve needs a name");
+        spec_.name = value;
+    } else if (key == "soc") {
+        if (!soc::isKnownSocName(value))
+            lineFatal(no, "unknown SoC '" + value + "' (known: " +
+                              soc::knownSocNamesText() + ")");
+        spec_.soc = value;
+    } else if (key == "requests") {
+        spec_.requests = parseU64At(value, no, 100'000'000);
+    } else if (key == "threads") {
+        spec_.threads = parseU32At(value, no);
+    } else if (key == "swap-interval") {
+        spec_.swapInterval = parseU64At(value, no, 100'000'000);
+    } else if (key == "train") {
+        spec_.trainIterations = parseU32At(value, no, 100'000);
+    } else if (key == "shards") {
+        spec_.trainShards = parseU32At(value, no, 100'000);
+    } else if (key == "merge") {
+        spec_.merge = parseAt(rl::mergeSpecFromString, value, no);
+    } else if (key == "explore") {
+        spec_.explore = parseAt(rl::exploreSpecFromString, value, no);
+    } else if (key == "model") {
+        spec_.model = parseAt(rl::modelSpecFromString, value, no);
+    } else if (key == "reward-weights") {
+        const std::vector<std::string> parts = splitList(value, ',');
+        if (parts.size() != 3)
+            lineFatal(no, "reward-weights needs three values "
+                          "(exec, comm, mem), got " +
+                              std::to_string(parts.size()));
+        spec_.weights.exec = parseDoubleAt(parts[0], no);
+        spec_.weights.comm = parseDoubleAt(parts[1], no);
+        spec_.weights.mem = parseDoubleAt(parts[2], no);
+    } else if (key == "tenants") {
+        spec_.tenants.clear();
+        for (const std::string &src : splitList(value, ',')) {
+            const std::string diag = checkTenantSource(src);
             if (!diag.empty())
                 lineFatal(no, diag);
-            spec.merge = rl::mergeSpecFromString(value);
-        } else if (key == "explore") {
-            const std::string diag = rl::checkExploreSpecText(value);
-            if (!diag.empty())
-                lineFatal(no, diag);
-            spec.explore = rl::exploreSpecFromString(value);
-        } else if (key == "model") {
-            const std::string diag = rl::checkModelSpecText(value);
-            if (!diag.empty())
-                lineFatal(no, diag);
-            spec.model = rl::modelSpecFromString(value);
-        } else if (key == "reward-weights") {
-            const std::vector<std::string> parts = splitList(value, ',');
-            if (parts.size() != 3)
-                lineFatal(no, "reward-weights needs three values "
-                              "(exec, comm, mem), got " +
-                                  std::to_string(parts.size()));
-            spec.weights.exec = parseDoubleAt(parts[0], no);
-            spec.weights.comm = parseDoubleAt(parts[1], no);
-            spec.weights.mem = parseDoubleAt(parts[2], no);
-        } else if (key == "tenants") {
-            sawTenants = true;
-            spec.tenants.clear();
-            for (const std::string &part : splitList(value, ',')) {
-                const std::string src = trimText(part);
-                const std::string diag = checkTenantSource(src);
-                if (!diag.empty())
-                    lineFatal(no, diag);
-                TenantSpec t;
-                t.source = src;
-                spec.tenants.push_back(std::move(t));
-            }
-            if (spec.tenants.empty())
-                lineFatal(no, "tenants needs at least one source");
-        } else if (key == "tenant-weights") {
-            tenantWeights.clear();
-            tenantWeightsLine = no;
-            for (const std::string &part : splitList(value, ','))
-                tenantWeights.push_back(parseDoubleAt(part, no));
-        } else if (key == "arrival-rate") {
-            spec.arrivalRate = parseDoubleAt(value, no);
-        } else if (key == "seed") {
-            spec.seed = parseU64At(value, no);
-        } else if (key == "train-seed") {
-            spec.trainSeed = parseU64At(value, no);
-        } else if (key == "agent-seed") {
-            spec.agentSeed = parseU64At(value, no);
-        } else if (key == "load-state") {
-            spec.loadState = value;
-        } else if (key == "save-state") {
-            spec.saveState = value;
-        } else if (key == "decision-log") {
-            spec.decisionLog = value;
-        } else {
-            lineFatal(no, "unknown serve key '" + key + "'");
+            TenantSpec t;
+            t.source = src;
+            spec_.tenants.push_back(std::move(t));
         }
+    } else if (key == "tenant-weights") {
+        weights_.clear();
+        weightsLine_ = no;
+        for (const std::string &part : splitList(value, ',')) {
+            const double w = parseDoubleAt(part, no);
+            if (!(w > 0.0) || !std::isfinite(w))
+                lineFatal(no, "tenant-weights must be positive finite "
+                              "numbers, got '" + part + "'");
+            weights_.push_back(w);
+        }
+    } else if (key == "arrival-rate") {
+        const double rate = parseDoubleAt(value, no);
+        if (!(rate >= 0.0) || !(rate <= 1e9))
+            lineFatal(no, "arrival-rate must be in [0, 1e9] "
+                          "requests/sec, got '" + value + "'");
+        spec_.arrivalRate = rate;
+    } else if (key == "seed") {
+        spec_.seed = parseU64At(value, no);
+    } else if (key == "train-seed") {
+        spec_.trainSeed = parseU64At(value, no);
+    } else if (key == "agent-seed") {
+        spec_.agentSeed = parseU64At(value, no);
+    } else if (key == "load-state") {
+        spec_.loadState = value;
+    } else if (key == "save-state") {
+        spec_.saveState = value;
+    } else if (key == "decision-log") {
+        spec_.decisionLog = value;
+    } else {
+        lineFatal(no, "unknown serve key '" + key + "'");
     }
-    return spec;
 }
 
-} // namespace
+void
+ServeKeys::finish()
+{
+    if (!weights_.empty()) {
+        if (weights_.size() != spec_.tenants.size())
+            lineFatal(weightsLine_,
+                      "tenant-weights has " +
+                          std::to_string(weights_.size()) +
+                          " entries for " +
+                          std::to_string(spec_.tenants.size()) +
+                          " tenants");
+        for (std::size_t i = 0; i < weights_.size(); ++i)
+            spec_.tenants[i].weight = weights_[i];
+    }
+    labelTenants(spec_);
+}
 
 ServeSpec
 parseServeSpecString(const std::string &text)
 {
     ServeSpec spec;
-    bool sawTenants = false;
-    std::vector<double> tenantWeights;
-    unsigned tenantWeightsLine = 0;
     try {
-        spec = parseServeSpecLines(text, sawTenants, tenantWeights,
-                                   tenantWeightsLine);
-        if (!sawTenants)
-            spec.tenants.resize(2); // the default mix: random, random
-        if (!tenantWeights.empty()) {
-            if (tenantWeights.size() != spec.tenants.size())
-                lineFatal(tenantWeightsLine,
-                          "tenant-weights has " +
-                              std::to_string(tenantWeights.size()) +
-                              " entries for " +
-                              std::to_string(spec.tenants.size()) +
-                              " tenants");
-            for (std::size_t i = 0; i < tenantWeights.size(); ++i)
-                spec.tenants[i].weight = tenantWeights[i];
+        ServeKeys keys(spec);
+        std::istringstream is(text);
+        for (const app::ConfigLine &l : app::scanConfigLines(is)) {
+            if (l.isSection)
+                lineFatal(l.no, "serve specs have no sections (put "
+                                "the keys at top level)");
+            keys.apply(l);
         }
+        keys.finish();
     } catch (const FatalError &e) {
         fatal("serve spec ", e.what());
     }
-    labelTenants(spec);
     validateServeSpec(spec);
     return spec;
 }

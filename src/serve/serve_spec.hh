@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "app/config_parser.hh"
 #include "rl/learned_model.hh"
 #include "rl/reward.hh"
 #include "rl/strategy.hh"
@@ -119,6 +120,32 @@ void labelTenants(ServeSpec &spec);
  * @throws FatalError with a one-line diagnostic on the first problem
  */
 void validateServeSpec(const ServeSpec &spec);
+
+/**
+ * Applies serve `key = value` lines to a spec in order: the body of a
+ * .serve file, or the flags `cohmeleon_run serve` lays over one.
+ * tenant-weights is the exception — held until finish(), which
+ * matches it against the final tenant list, so it may come before
+ * tenants.
+ */
+class ServeKeys
+{
+  public:
+    explicit ServeKeys(ServeSpec &spec) : spec_(spec) {}
+
+    /** @throws FatalError "line N: ..." on an unknown key or a bad
+     *  value */
+    void apply(const app::ConfigLine &l);
+
+    /** Attach the held tenant weights and relabel the tenants.
+     *  @throws FatalError when the weight and tenant counts differ */
+    void finish();
+
+  private:
+    ServeSpec &spec_;
+    std::vector<double> weights_;
+    unsigned weightsLine_ = 0;
+};
 
 /** Parse the text form. @throws FatalError with "serve spec line N:
  *  ..." diagnostics on malformed input or unknown keys */

@@ -236,11 +236,16 @@ TEST(CampaignParser, StrategyDiagnosticsCarryLineNumbers)
 
 TEST(CampaignParser, UnknownKeysAreHardErrorsWithLineNumbers)
 {
-    // Scenario key.
-    std::string msg = diagnosticOf(
-        [] { parseScenarioString("soc = soc1\nbogus = 3\n"); });
-    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("bogus"), std::string::npos) << msg;
+    // Scenario key, including the retired Q-values-only key.
+    std::string msg;
+    for (const char *key : {"bogus", "load-qtable"}) {
+        msg = diagnosticOf([key] {
+            parseScenarioString("soc = soc1\n" + std::string(key) +
+                                " = x\n");
+        });
+        EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(key), std::string::npos) << msg;
+    }
 
     // Top-level campaign key, including the retired worker-fleet
     // keys (spelled in pieces so a source search for the retired
@@ -295,6 +300,7 @@ TEST(CampaignParser, DiagnosticsCarryLineNumbersForBadValues)
         {"attribution = psychic\n", "line 1"},
         {"records = yes\n", "line 1"},
         {"footprint = 20000000000000M\n", "line 1"},
+        {"shards = 5000\n", "line 1"},
     };
     for (const auto &[text, expect] : cases) {
         const std::string msg = diagnosticOf(
@@ -315,6 +321,9 @@ TEST(CampaignParser, RequiresACampaignName)
 
 TEST(Validators, PolicyNamesIncludeParameterizedManual)
 {
+    const auto checkPolicyName = [](const char *name) {
+        return diagnosticOf([name] { parsePolicyName(name); });
+    };
     EXPECT_TRUE(checkPolicyName("cohmeleon").empty());
     EXPECT_TRUE(checkPolicyName("fixed-non-coh-dma").empty());
     EXPECT_TRUE(checkPolicyName("manual@16K").empty());
@@ -934,11 +943,12 @@ TEST(CampaignResilienceDeathTest, CrashAndResumeReproducesTheCleanRun)
         const std::string sd = dir.file("state");
         EXPECT_EXIT(
             {
+                CampaignSpec crashing = c;
+                crashing.fault = faultPlanFromString(fault);
                 CampaignRunOptions crash;
                 crash.stateDir = sd;
-                crash.fault = faultPlanFromString(fault);
                 ParallelRunner r(1);
-                CampaignRunner(r).run(c, crash);
+                CampaignRunner(r).run(crashing, crash);
             },
             ::testing::ExitedWithCode(kFaultCrashExit), "")
             << fault;
@@ -1040,10 +1050,11 @@ TEST(CampaignResilience, CliRetryBudgetOverridesTheSpec)
     ParallelRunner serial(1);
     // Spec default: no retries, the cell fails.
     EXPECT_EQ(CampaignRunner(serial).run(c).failureCount(), 1u);
-    // CLI override: one retry recovers it.
-    CampaignRunOptions opts;
-    opts.maxRetries = 1;
-    const CampaignResult r = CampaignRunner(serial).run(c, opts);
+    // --max-retries 1 is the `max-retries = 1` key laid over the
+    // spec: one retry recovers the cell.
+    applyCampaignKey(c, {0, false, "", "", "max-retries", "1"});
+    EXPECT_EQ(c.maxRetries, 1u);
+    const CampaignResult r = CampaignRunner(serial).run(c);
     EXPECT_EQ(r.failureCount(), 0u);
     const CellResult *manual = r.find("soc1/manual");
     ASSERT_NE(manual, nullptr);
@@ -1084,12 +1095,13 @@ TEST(CampaignResilience, SigintAfterWriteFlushesThenStops)
 
     installCampaignSignalHandlers();
     clearCampaignStop();
+    CampaignSpec interrupting = c;
+    interrupting.fault = faultPlanFromString("sigint-after-write@0");
     CampaignRunOptions opts;
     opts.stateDir = sd;
-    opts.fault = faultPlanFromString("sigint-after-write@0");
     ParallelRunner serial(1);
     try {
-        CampaignRunner(serial).run(c, opts);
+        CampaignRunner(serial).run(interrupting, opts);
         FAIL() << "expected CampaignInterrupted";
     } catch (const CampaignInterrupted &e) {
         EXPECT_NE(std::string(e.what()).find("--resume"),
@@ -1107,7 +1119,6 @@ TEST(CampaignResilience, SigintAfterWriteFlushesThenStops)
                     "cohmeleon-lease 1\npid 1\nclaim-ms 0\nslot 1\n");
     atomicWriteFile(sd + "/leases/slot1.kills", "1");
     atomicWriteFile(sd + "/LOCK", "");
-    opts.fault = FaultPlan{};
     opts.resume = true;
     EXPECT_EQ(CampaignRunner(serial).run(c, opts).json(),
               cleanTinyJson());
@@ -1168,24 +1179,23 @@ TEST(CampaignResilience, ResumeValidatesTheStateDirectory)
 
     // A fault plan that can never fire is rejected up front, naming
     // the unique-cell count: a fail@ slot past the campaign's 3
-    // unique cells (from the CLI or the spec), and a write ordinal
-    // past the writes this run makes — none without a state dir,
-    // none on a resume of the finished run, and 3 on a fresh one.
+    // unique cells, and a write ordinal past the writes this run
+    // makes — none without a state dir, none on a resume of the
+    // finished run, and 3 on a fresh one.
     {
-        CampaignSpec specFault = c;
-        specFault.fault = faultPlanFromString("fail@3:1");
-        const auto faulted = [](CampaignRunOptions o, const char *plan) {
-            o.fault = faultPlanFromString(plan);
-            return o;
+        const auto faulted = [&c](const char *plan) {
+            CampaignSpec f = c;
+            f.fault = faultPlanFromString(plan);
+            return f;
         };
         CampaignRunOptions fresh = opts;
         fresh.resume = false;
         const std::pair<CampaignSpec, CampaignRunOptions> cases[] = {
-            {specFault, CampaignRunOptions{}},
-            {c, faulted({}, "fail@99:1")},
-            {c, faulted({}, "crash-after-write@0")},
-            {c, faulted(opts, "sigint-after-write@0")},
-            {c, faulted(fresh, "crash-before-write@3")},
+            {faulted("fail@3:1"), CampaignRunOptions{}},
+            {faulted("fail@99:1"), CampaignRunOptions{}},
+            {faulted("crash-after-write@0"), CampaignRunOptions{}},
+            {faulted("sigint-after-write@0"), opts},
+            {faulted("crash-before-write@3"), fresh},
         };
         for (const auto &[spec, runOpts] : cases) {
             const std::string msg = diagnosticOf(

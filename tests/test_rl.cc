@@ -362,18 +362,24 @@ TEST(Strategy, RejectsUnknownAndOutOfRangeForms)
          {"bogus", "recency@0", "recency@1.5", "recency@x",
           "recency@", "visit-weighted@3", "reward-norm@1"}) {
         EXPECT_THROW(mergeSpecFromString(text), FatalError) << text;
-        EXPECT_FALSE(checkMergeSpecText(text).empty()) << text;
     }
-    // The non-throwing checker carries the known forms.
-    EXPECT_NE(checkMergeSpecText("bogus").find("visit-weighted"),
-              std::string::npos);
     for (const char *text :
          {"bogus", "floor@-0.1", "floor@1.5", "visit@0", "visit@-1",
           "visit@nope", "linear@2"}) {
         EXPECT_THROW(exploreSpecFromString(text), FatalError) << text;
-        EXPECT_FALSE(checkExploreSpecText(text).empty()) << text;
     }
-    EXPECT_NE(checkExploreSpecText("bogus").find("linear"),
+    // The diagnostics carry the known forms.
+    const auto diagnostic = [](auto parse) {
+        try {
+            parse("bogus");
+        } catch (const FatalError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    EXPECT_NE(diagnostic(mergeSpecFromString).find("visit-weighted"),
+              std::string::npos);
+    EXPECT_NE(diagnostic(exploreSpecFromString).find("linear"),
               std::string::npos);
 }
 

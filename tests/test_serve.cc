@@ -184,6 +184,8 @@ TEST(ServeSpec, DiagnosticsNameLineAndKnownValues)
               std::string::npos);
     EXPECT_NE(parse("arrival-rate = -2").find("arrival-rate"),
               std::string::npos);
+    EXPECT_NE(parse("\narrival-rate = 2e9").find("line 2"),
+              std::string::npos);
     EXPECT_NE(parse("requests = soon").find("expected a number"),
               std::string::npos);
     EXPECT_NE(parse("reward-weights = 1, 2").find("three values"),

@@ -24,17 +24,22 @@
  * request stream served by concurrent decision workers while
  * background training hot-swaps fresh model generations in; its
  * decision log is byte-identical at any --threads.
+ *
+ * Every experiment knob is a spec key, declared once in its spec
+ * family's key handler: a `--KEY VALUE` flag is the line `KEY = VALUE`
+ * laid over the spec file (--scenario, --spec, the campaign source),
+ * so a flag and a file line accept exactly the same values.
  */
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
+#include <span>
 #include <sstream>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "app/campaign_runner.hh"
@@ -58,14 +63,17 @@ usage()
     std::printf(
         "usage: cohmeleon_run <subcommand> [options]\n"
         "\n"
+        "A --KEY VALUE flag sets the spec key KEY (scenario keys for\n"
+        "run/train/compare, serve keys for serve). The spec file is\n"
+        "read first, then the flags apply, wherever they appear.\n"
+        "\n"
         "  run       run one scenario cell\n"
-        "    --scenario FILE    load a .scenario file (flags "
-        "override)\n"
+        "    --scenario FILE    load a .scenario file\n"
         "    --soc NAME         SoC preset (default soc1)\n"
         "    --policy NAME      policy, e.g. cohmeleon, manual@16K,\n"
         "                       cohmeleon@perceptron:tables=16,bits=12\n"
-        "    --app FILE         application config file\n"
-        "    --figure-app NAME  registered figure app (fig5)\n"
+        "    --app FILE         application config file (app-file)\n"
+        "    --figure-app NAME  registered figure app (app)\n"
         "    --train N          training iterations (default 10)\n"
         "    --shards N         sharded deterministic training\n"
         "    --merge S          shard fold strategy (visit-weighted,\n"
@@ -78,15 +86,17 @@ usage()
         "    --train-seed N     training-app seed (default 2021)\n"
         "    --agent-seed N     exploration seed (default 7)\n"
         "    --save-model F / --load-model F   full checkpoints\n"
-        "    --save-qtable F / --load-qtable F legacy Q-values only\n"
         "    --eval             frozen evaluation of --load-model\n"
+        "                       (freeze-loaded = true)\n"
         "    --disable-modes L  mask modes out (comma list)\n"
-        "    --exact-attribution  exact DDR attribution (ablation)\n"
+        "    --exact-attribution  exact DDR attribution (ablation;\n"
+        "                       attribution = exact)\n"
         "    --stats            dump the SoC statistics block\n"
+        "                       (stats = true)\n"
         "  train     deterministic sharded training -> checkpoint\n"
         "    --soc NAME[,NAME...]  one SoC, or several for cross-SoC\n"
         "                          transfer training (merged model)\n"
-        "    --train N --shards N --jobs N\n"
+        "    --train N --shards N (default 4) --jobs N\n"
         "    --merge S --explore S --model M   strategy axes (see "
         "run)\n"
         "    --train-seed N --agent-seed N\n"
@@ -105,8 +115,7 @@ usage()
         "                       crash-after-write@0, fail@1:2\n"
         "  serve     long-lived policy service over an open-loop\n"
         "            request stream (SIGINT/SIGTERM drains cleanly)\n"
-        "    --spec FILE        load a .serve spec file (flags "
-        "override)\n"
+        "    --spec FILE        load a .serve spec file\n"
         "    --soc NAME         serving SoC preset (default soc1)\n"
         "    --requests N       request budget (default 192)\n"
         "    --threads N        decision worker threads (default 1)\n"
@@ -133,7 +142,88 @@ usage()
     std::exit(2);
 }
 
-/** Flag cursor with validated value/number accessors. */
+// ------------------------------------------------------ flag -> key
+
+/** The flags that are not `--KEY` for their spec key. A switch (no
+ *  argument) sets the fixed value. */
+struct FlagAlias
+{
+    std::string_view flag;
+    const char *key;
+    const char *value; ///< nullptr: the flag takes an argument
+};
+
+constexpr FlagAlias kAliases[] = {
+    {"--app", "app-file", nullptr},
+    {"--figure-app", "app", nullptr},
+    {"--exact-attribution", "attribution", "exact"},
+    {"--stats", "stats", "true"},
+    {"--eval", "freeze-loaded", "true"},
+    {"-o", "save-model", nullptr},
+};
+
+/** The spec-key flags each subcommand takes. */
+constexpr std::string_view kRunFlags[] = {
+    "--soc", "--policy", "--app", "--figure-app", "--train", "--shards",
+    "--merge", "--explore", "--model", "--seed", "--train-seed",
+    "--agent-seed", "--save-model", "--load-model", "--eval",
+    "--disable-modes", "--exact-attribution", "--stats"};
+constexpr std::string_view kTrainFlags[] = {
+    "--soc", "--train", "--shards", "--merge", "--explore", "--model",
+    "--train-seed", "--agent-seed", "--save-model", "-o"};
+constexpr std::string_view kCompareFlags[] = {"--soc", "--train",
+                                              "--seed"};
+constexpr std::string_view kCampaignFlags[] = {"--max-retries",
+                                               "--fault"};
+constexpr std::string_view kServeFlags[] = {
+    "--soc", "--requests", "--threads", "--swap-interval", "--train",
+    "--shards", "--merge", "--explore", "--model", "--tenants",
+    "--tenant-weights", "--arrival-rate", "--seed", "--train-seed",
+    "--agent-seed", "--decision-log", "--save-state", "--load-state"};
+
+/** Batch-subcommand flags serve rejects, pointing at its own. */
+constexpr std::pair<const char *, const char *> kServeMisfits[] = {
+    {"--resume", "applies to `campaign`; a serve session resumes its "
+                 "model with --load-state FILE instead"},
+    {"--state-dir", "applies to `campaign`; serve persists its model "
+                    "with --save-state FILE instead"},
+    {"--jobs", "applies to batch subcommands; serve concurrency is "
+               "--threads N"},
+    {"--fault", "applies to `campaign` (serve drains on SIGINT/SIGTERM "
+                "instead)"},
+};
+
+/** One flag as a spec key line (line number 0: not from a file). */
+struct FlagLine
+{
+    std::string flag;
+    app::ConfigLine line;
+};
+
+/** Run @p fn; a FatalError from it is a bad value for @p flag: one
+ *  stderr line naming the flag, exit 2. */
+template <typename Fn>
+void
+forFlag(const std::string &flag, Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "fatal: %s: %s\n", flag.c_str(), e.what());
+        std::exit(2);
+    }
+}
+
+/** Lay @p flags over a spec through its family's key handler. */
+template <typename Apply>
+void
+applyFlags(const std::vector<FlagLine> &flags, Apply &&apply)
+{
+    for (const FlagLine &f : flags)
+        forFlag(f.flag, [&] { apply(f.line); });
+}
+
+/** Flag cursor. */
 struct Args
 {
     int argc;
@@ -143,8 +233,8 @@ struct Args
     bool
     next(const char *flag, const char *alias = nullptr)
     {
-        return std::strcmp(argv[i], flag) == 0 ||
-               (alias != nullptr && std::strcmp(argv[i], alias) == 0);
+        const std::string_view arg = argv[i];
+        return arg == flag || (alias != nullptr && arg == alias);
     }
 
     std::string
@@ -157,118 +247,41 @@ struct Args
         return argv[++i];
     }
 
-    std::uint64_t
-    number(std::uint64_t max)
+    /** --jobs N: worker threads, not a spec key. */
+    unsigned
+    jobs()
     {
-        // Digits only: stoull would accept "-1" (wrapping mod 2^64)
-        // and trailing garbage ("4x"). The cap keeps the later
-        // narrowing casts from truncating.
         const std::string flag = argv[i];
         const std::string text = value();
-        try {
-            std::size_t used = 0;
-            if (text.empty() ||
-                !std::isdigit(static_cast<unsigned char>(text[0])))
-                throw std::invalid_argument(text);
-            const std::uint64_t n = std::stoull(text, &used);
-            if (used != text.size() || n > max)
-                throw std::invalid_argument(text);
-            return n;
-        } catch (const std::exception &) {
-            std::fprintf(stderr,
-                         "fatal: bad value '%s' for %s (max %llu)\n",
-                         text.c_str(), flag.c_str(),
-                         static_cast<unsigned long long>(max));
-            std::exit(2);
+        unsigned n = 0;
+        forFlag(flag, [&] { n = app::parseU32At(text, 0, 1024); });
+        return n;
+    }
+
+    /** If the current flag is one of @p flags, queue the key line it
+     *  stands for: `--KEY VALUE` is `KEY = VALUE` unless aliased. */
+    bool
+    take(std::span<const std::string_view> flags,
+         std::vector<FlagLine> &out)
+    {
+        const std::string_view flag = argv[i];
+        if (std::find(flags.begin(), flags.end(), flag) == flags.end())
+            return false;
+        FlagLine f;
+        f.flag = flag;
+        f.line.key = flag.substr(2);
+        const char *fixed = nullptr;
+        for (const FlagAlias &a : kAliases) {
+            if (a.flag == flag) {
+                f.line.key = a.key;
+                fixed = a.value;
+            }
         }
+        f.line.value = fixed != nullptr ? fixed : app::trimText(value());
+        out.push_back(std::move(f));
+        return true;
     }
 };
-
-/** Parse-time SoC-name validation: fail before any setup, listing
- *  the known names. */
-std::string
-validatedSoc(const std::string &name)
-{
-    if (!soc::isKnownSocName(name)) {
-        std::fprintf(stderr,
-                     "fatal: unknown SoC preset '%s'\n  known: %s\n",
-                     name.c_str(),
-                     soc::knownSocNamesText().c_str());
-        std::exit(2);
-    }
-    return name;
-}
-
-/** Parse-time policy-name validation via the shared validator. */
-std::string
-validatedPolicy(const std::string &name)
-{
-    const std::string err = app::checkPolicyName(name);
-    if (!err.empty()) {
-        std::fprintf(stderr, "fatal: %s\n", err.c_str());
-        std::exit(2);
-    }
-    return name;
-}
-
-/** Parse-time strategy validation via the shared rl validators. */
-rl::MergeSpec
-validatedMerge(const std::string &text)
-{
-    const std::string err = rl::checkMergeSpecText(text);
-    if (!err.empty()) {
-        std::fprintf(stderr, "fatal: %s\n", err.c_str());
-        std::exit(2);
-    }
-    return rl::mergeSpecFromString(text);
-}
-
-rl::ExploreSpec
-validatedExplore(const std::string &text)
-{
-    const std::string err = rl::checkExploreSpecText(text);
-    if (!err.empty()) {
-        std::fprintf(stderr, "fatal: %s\n", err.c_str());
-        std::exit(2);
-    }
-    return rl::exploreSpecFromString(text);
-}
-
-rl::ModelSpec
-validatedModel(const std::string &text)
-{
-    const std::string err = rl::checkModelSpecText(text);
-    if (!err.empty()) {
-        std::fprintf(stderr, "fatal: %s\n", err.c_str());
-        std::exit(2);
-    }
-    return rl::modelSpecFromString(text);
-}
-
-/** Parse-time fault-plan validation via the shared validator. */
-app::FaultPlan
-validatedFault(const std::string &text)
-{
-    const std::string err = app::checkFaultPlanText(text);
-    if (!err.empty()) {
-        std::fprintf(stderr, "fatal: %s\n", err.c_str());
-        std::exit(2);
-    }
-    return app::faultPlanFromString(text);
-}
-
-coh::ModeMask
-parseDisableModes(const std::string &list)
-{
-    coh::ModeMask mask = 0;
-    for (const std::string &part : app::splitList(list, ',')) {
-        const coh::CoherenceMode m = coh::modeFromString(part);
-        fatalIf(m == coh::CoherenceMode::kNonCohDma,
-                "non-coh-dma cannot be disabled");
-        mask |= coh::maskOf(m);
-    }
-    return mask;
-}
 
 // --------------------------------------------------------------- run
 
@@ -374,86 +387,35 @@ printCellResult(const app::CellResult &result,
 int
 cmdRun(Args &args)
 {
-    app::ScenarioSpec s;
-    s.trainApp = app::TrainAppShape::kDense;
-    bool evalOnly = false;
-    // The scenario file is the base regardless of where --scenario
-    // sits in the argument list; the other flags then override it.
-    for (int i = args.i; i + 1 < args.argc; ++i) {
-        if (std::strcmp(args.argv[i], "--scenario") == 0) {
-            std::ifstream in(args.argv[i + 1]);
-            fatalIf(!in, "cannot open scenario file '",
-                    args.argv[i + 1], "'");
-            s = app::parseScenario(in);
-        }
-    }
-    s.collectRecords = true;
+    std::string scenarioFile;
+    std::vector<FlagLine> flags;
     for (; args.i < args.argc; ++args.i) {
-        if (args.next("--scenario")) {
-            args.value(); // consumed in the pre-scan above
-        } else if (args.next("--soc"))
-            s.soc = validatedSoc(args.value());
-        else if (args.next("--policy"))
-            s.policy = validatedPolicy(args.value());
-        else if (args.next("--app")) {
-            s.appSource = app::AppSource::kFile;
-            s.appFile = args.value();
-        } else if (args.next("--figure-app")) {
-            s.appSource = app::AppSource::kFigure;
-            s.figureName = args.value();
-        } else if (args.next("--train"))
-            s.trainIterations =
-                static_cast<unsigned>(args.number(1'000'000));
-        else if (args.next("--shards"))
-            s.trainShards = static_cast<unsigned>(args.number(4096));
-        else if (args.next("--merge"))
-            s.merge = validatedMerge(args.value());
-        else if (args.next("--explore"))
-            s.explore = validatedExplore(args.value());
-        else if (args.next("--model"))
-            s.model = validatedModel(args.value());
-        else if (args.next("--seed"))
-            s.evalSeed = args.number(UINT64_MAX);
-        else if (args.next("--train-seed"))
-            s.trainSeed = args.number(UINT64_MAX);
-        else if (args.next("--agent-seed"))
-            s.agentSeed = args.number(UINT64_MAX);
-        else if (args.next("--save-model"))
-            s.saveModel = args.value();
-        else if (args.next("--load-model"))
-            s.loadModel = args.value();
-        else if (args.next("--save-qtable"))
-            s.saveQtable = args.value();
-        else if (args.next("--load-qtable"))
-            s.loadQtable = args.value();
-        else if (args.next("--eval"))
-            evalOnly = true;
-        else if (args.next("--disable-modes"))
-            s.disabledModes = parseDisableModes(args.value());
-        else if (args.next("--exact-attribution"))
-            s.exactAttribution = true;
-        else if (args.next("--stats"))
-            s.captureStats = true;
-        else
+        if (args.next("--scenario"))
+            scenarioFile = args.value();
+        else if (!args.take(kRunFlags, flags))
             usage();
     }
-    fatalIf(evalOnly && s.loadModel.empty(),
-            "--eval needs a model to evaluate (--load-model)");
-    fatalIf(evalOnly && (s.trainShards != 0 || !s.saveModel.empty()),
-            "--eval is the training-free split; it cannot be "
-            "combined with --shards or --save-model");
-    fatalIf(!s.loadModel.empty() && !s.loadQtable.empty(),
-            "--load-model and --load-qtable are exclusive");
-    fatalIf(!s.loadModel.empty() && s.trainShards != 0,
-            "--load-model replaces training; drop --shards");
-    if (evalOnly)
-        s.freezeLoaded = true;
+    app::ScenarioSpec s;
+    s.trainApp = app::TrainAppShape::kDense;
+    if (!scenarioFile.empty()) {
+        std::ifstream in(scenarioFile);
+        fatalIf(!in, "cannot open scenario file '", scenarioFile, "'");
+        s = app::parseScenario(in, s);
+    }
+    applyFlags(flags, [&](const app::ConfigLine &l) {
+        app::applyScenarioKey(s, l);
+    });
+    s.collectRecords = true;
+    fatalIf(s.freezeLoaded && s.loadModel.empty(),
+            "--eval (freeze-loaded) needs a model to evaluate "
+            "(--load-model)");
+    fatalIf(s.freezeLoaded && (s.trainShards != 0 || !s.saveModel.empty()),
+            "--eval (freeze-loaded) is the training-free split; it "
+            "cannot be combined with --shards or --save-model");
 
     const soc::SocConfig cfg = app::resolveSoc(s);
     const app::CellResult result = app::runScenario(s);
     printCellResult(result, cfg);
-    if (!s.saveQtable.empty())
-        std::printf("saved Q-table to %s\n", s.saveQtable.c_str());
     if (!s.saveModel.empty())
         std::printf("saved model to %s\n", s.saveModel.c_str());
     return 0;
@@ -464,42 +426,43 @@ cmdRun(Args &args)
 int
 cmdTrain(Args &args)
 {
-    std::vector<std::string> socNames = {"soc1"};
-    app::TrainingOptions topts;
     unsigned jobs = 0;
-    std::string saveModel;
+    std::vector<FlagLine> flags;
     for (; args.i < args.argc; ++args.i) {
-        if (args.next("--soc")) {
-            socNames.clear();
-            for (const std::string &n :
-                 app::splitList(args.value(), ','))
-                socNames.push_back(validatedSoc(n));
-        } else if (args.next("--train"))
-            topts.iterations =
-                static_cast<unsigned>(args.number(1'000'000));
-        else if (args.next("--shards"))
-            topts.shards = static_cast<unsigned>(args.number(4096));
-        else if (args.next("--merge"))
-            topts.merge = validatedMerge(args.value());
-        else if (args.next("--explore"))
-            topts.explore = validatedExplore(args.value());
-        else if (args.next("--model"))
-            topts.model = validatedModel(args.value());
-        else if (args.next("--jobs"))
-            jobs = static_cast<unsigned>(args.number(1024));
-        else if (args.next("--train-seed"))
-            topts.trainSeed = args.number(UINT64_MAX);
-        else if (args.next("--agent-seed"))
-            topts.agentSeed = args.number(UINT64_MAX);
-        else if (args.next("--save-model", "-o"))
-            saveModel = args.value();
-        else
+        if (args.next("--jobs"))
+            jobs = args.jobs();
+        else if (!args.take(kTrainFlags, flags))
             usage();
     }
-    fatalIf(saveModel.empty(),
+    app::ScenarioSpec s;
+    s.trainShards = 4;
+    std::vector<std::string> socNames;
+    applyFlags(flags, [&](const app::ConfigLine &l) {
+        if (l.key != "soc")
+            return app::applyScenarioKey(s, l);
+        // A comma list: one `soc` key per name.
+        socNames.clear();
+        app::ConfigLine one = l;
+        for (const std::string &n : app::splitList(l.value, ',')) {
+            one.value = n;
+            app::applyScenarioKey(s, one);
+            socNames.push_back(s.soc);
+        }
+    });
+    if (socNames.empty())
+        socNames.push_back(s.soc);
+    fatalIf(s.saveModel.empty(),
             "train produces a checkpoint; name it with -o FILE");
-    fatalIf(topts.shards == 0, "--shards must be positive");
+    fatalIf(s.trainShards == 0, "--shards must be positive");
 
+    app::TrainingOptions topts;
+    topts.iterations = s.trainIterations;
+    topts.shards = s.trainShards;
+    topts.trainSeed = s.trainSeed;
+    topts.agentSeed = s.agentSeed;
+    topts.merge = s.merge;
+    topts.explore = s.explore;
+    topts.model = s.model;
     std::vector<soc::SocConfig> cfgs;
     for (const std::string &n : socNames)
         cfgs.push_back(soc::makeSocByName(n));
@@ -519,7 +482,7 @@ cmdTrain(Args &args)
         // merge in global shard order.
         tres = app::trainAcrossSocs(cfgs, topts, runner);
     }
-    tres.checkpoint.saveFile(saveModel);
+    tres.checkpoint.saveFile(s.saveModel);
     std::printf("trained on %llu invocations in %.2fs (%llu "
                 "q-updates, %llu/%llu entries covered, %s model)\n",
                 static_cast<unsigned long long>(tres.totalInvocations),
@@ -531,7 +494,7 @@ cmdTrain(Args &args)
                 static_cast<unsigned long long>(rl::entryCapacity(
                     tres.checkpoint.model.spec())),
                 rl::toString(tres.checkpoint.model.spec()).c_str());
-    std::printf("saved model to %s\n", saveModel.c_str());
+    std::printf("saved model to %s\n", s.saveModel.c_str());
     return 0;
 }
 
@@ -540,21 +503,12 @@ cmdTrain(Args &args)
 int
 cmdCompare(Args &args)
 {
-    std::string socName = "soc1";
-    unsigned trainIterations = 10;
-    std::uint64_t seed = 2022;
     unsigned jobs = 0;
+    std::vector<FlagLine> flags;
     for (; args.i < args.argc; ++args.i) {
-        if (args.next("--soc"))
-            socName = validatedSoc(args.value());
-        else if (args.next("--train"))
-            trainIterations =
-                static_cast<unsigned>(args.number(1'000'000));
-        else if (args.next("--seed"))
-            seed = args.number(UINT64_MAX);
-        else if (args.next("--jobs"))
-            jobs = static_cast<unsigned>(args.number(1024));
-        else
+        if (args.next("--jobs"))
+            jobs = args.jobs();
+        else if (!args.take(kCompareFlags, flags))
             usage();
     }
 
@@ -563,17 +517,18 @@ cmdCompare(Args &args)
     // standalone run at the same --seed.
     app::CampaignSpec spec;
     spec.name = "compare";
-    spec.base.soc = socName;
-    spec.base.trainIterations = std::max(1u, trainIterations);
-    spec.base.evalSeed = seed;
     spec.base.trainApp = app::TrainAppShape::kDense;
+    applyFlags(flags, [&](const app::ConfigLine &l) {
+        app::applyScenarioKey(spec.base, l);
+    });
+    spec.base.trainIterations = std::max(1u, spec.base.trainIterations);
     spec.policies = app::standardPolicyNames();
     spec.baseline = "fixed-non-coh-dma";
 
     app::ParallelRunner runner(jobs);
     std::printf("comparing the eight policies on %s "
                 "(%u thread(s))...\n",
-                socName.c_str(), runner.threads());
+                spec.base.soc.c_str(), runner.threads());
     const WallTimer timer;
     app::CampaignRunner driver(runner);
     const app::CampaignResult result = driver.run(spec);
@@ -596,9 +551,10 @@ cmdCampaign(Args &args)
     bool full = false;
     bool printOnly = false;
     app::CampaignRunOptions ropts;
+    std::vector<FlagLine> flags;
     for (; args.i < args.argc; ++args.i) {
         if (args.next("--jobs"))
-            jobs = static_cast<unsigned>(args.number(1024));
+            jobs = args.jobs();
         else if (args.next("--out", "-o"))
             outFile = args.value();
         else if (args.next("--full"))
@@ -609,16 +565,9 @@ cmdCampaign(Args &args)
             ropts.stateDir = args.value();
         else if (args.next("--resume"))
             ropts.resume = true;
-        else if (args.next("--max-retries"))
-            ropts.maxRetries =
-                static_cast<unsigned>(args.number(1000));
-        else if (args.next("--fault"))
-            ropts.fault = validatedFault(args.value());
-        else if (args.argv[args.i][0] == '-')
-            usage();
-        else if (source.empty())
+        else if (args.argv[args.i][0] != '-' && source.empty())
             source = args.argv[args.i];
-        else
+        else if (!args.take(kCampaignFlags, flags))
             usage();
     }
     if (ropts.resume && ropts.stateDir.empty()) {
@@ -644,6 +593,9 @@ cmdCampaign(Args &args)
                 "' (not a registered name either)");
         spec = app::parseCampaign(in);
     }
+    applyFlags(flags, [&](const app::ConfigLine &l) {
+        app::applyCampaignKey(spec, l);
+    });
 
     if (printOnly) {
         std::fputs(app::serializeCampaign(spec).c_str(), stdout);
@@ -751,149 +703,27 @@ cmdCampaign(Args &args)
 int
 cmdServe(Args &args)
 {
-    serve::ServeSpec spec;
-    std::vector<double> tenantWeights;
-    bool sawTenantWeights = false;
+    std::string specFile;
+    std::vector<FlagLine> flags;
     for (; args.i < args.argc; ++args.i) {
-        if (args.next("--spec")) {
-            spec = serve::parseServeSpecFile(args.value());
-        } else if (args.next("--soc")) {
-            spec.soc = validatedSoc(args.value());
-        } else if (args.next("--requests")) {
-            spec.requests = args.number(100000000);
-        } else if (args.next("--threads")) {
-            spec.threads = static_cast<unsigned>(args.number(256));
-        } else if (args.next("--swap-interval")) {
-            spec.swapInterval = args.number(100000000);
-        } else if (args.next("--train")) {
-            spec.trainIterations =
-                static_cast<unsigned>(args.number(100000));
-        } else if (args.next("--shards")) {
-            spec.trainShards =
-                static_cast<unsigned>(args.number(100000));
-        } else if (args.next("--merge")) {
-            spec.merge = validatedMerge(args.value());
-        } else if (args.next("--explore")) {
-            spec.explore = validatedExplore(args.value());
-        } else if (args.next("--model")) {
-            spec.model = validatedModel(args.value());
-        } else if (args.next("--tenants")) {
-            spec.tenants.clear();
-            for (const std::string &part :
-                 app::splitList(args.value(), ',')) {
-                const std::string src = app::trimText(part);
-                const std::string err =
-                    serve::checkTenantSource(src);
-                if (!err.empty()) {
-                    std::fprintf(stderr, "fatal: %s\n", err.c_str());
-                    return 2;
-                }
-                serve::TenantSpec t;
-                t.source = src;
-                spec.tenants.push_back(std::move(t));
-            }
-            if (spec.tenants.empty()) {
-                std::fprintf(stderr, "fatal: --tenants needs at "
-                                     "least one source\n");
+        for (const auto &[flag, hint] : kServeMisfits) {
+            if (args.next(flag)) {
+                std::fprintf(stderr, "fatal: %s %s\n", flag, hint);
                 return 2;
             }
-        } else if (args.next("--tenant-weights")) {
-            sawTenantWeights = true;
-            tenantWeights.clear();
-            const std::string flag = args.argv[args.i];
-            for (const std::string &part :
-                 app::splitList(args.value(), ',')) {
-                const std::string text = app::trimText(part);
-                double w = 0.0;
-                std::size_t used = 0;
-                try {
-                    w = std::stod(text, &used);
-                } catch (const std::exception &) {
-                    used = 0;
-                }
-                if (used != text.size() || !(w > 0.0) ||
-                    !std::isfinite(w)) {
-                    std::fprintf(stderr,
-                                 "fatal: bad value '%s' in %s "
-                                 "(positive numbers only)\n",
-                                 text.c_str(), flag.c_str());
-                    return 2;
-                }
-                tenantWeights.push_back(w);
-            }
-        } else if (args.next("--arrival-rate")) {
-            // Strict like args.number(), but fractional and 0
-            // (unpaced) are legal.
-            const std::string text = args.value();
-            double rate = -1.0;
-            std::size_t used = 0;
-            try {
-                rate = std::stod(text, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (used != text.size() || !(rate >= 0.0) ||
-                !std::isfinite(rate) || rate > 1e9) {
-                std::fprintf(stderr,
-                             "fatal: bad value '%s' for "
-                             "--arrival-rate (requests/sec in "
-                             "[0, 1e9])\n",
-                             text.c_str());
-                return 2;
-            }
-            spec.arrivalRate = rate;
-        } else if (args.next("--seed")) {
-            spec.seed = args.number(UINT64_MAX);
-        } else if (args.next("--train-seed")) {
-            spec.trainSeed = args.number(UINT64_MAX);
-        } else if (args.next("--agent-seed")) {
-            spec.agentSeed = args.number(UINT64_MAX);
-        } else if (args.next("--decision-log")) {
-            spec.decisionLog = args.value();
-        } else if (args.next("--save-state")) {
-            spec.saveState = args.value();
-        } else if (args.next("--load-state")) {
-            spec.loadState = args.value();
-        } else if (args.next("--resume")) {
-            std::fprintf(stderr,
-                         "fatal: --resume applies to `campaign`; a "
-                         "serve session resumes its model with "
-                         "--load-state FILE instead\n");
-            return 2;
-        } else if (args.next("--state-dir")) {
-            std::fprintf(stderr,
-                         "fatal: --state-dir applies to `campaign`; "
-                         "serve persists its model with --save-state "
-                         "FILE instead\n");
-            return 2;
-        } else if (args.next("--jobs")) {
-            std::fprintf(stderr,
-                         "fatal: --jobs applies to batch "
-                         "subcommands; serve concurrency is "
-                         "--threads N\n");
-            return 2;
-        } else if (args.next("--fault")) {
-            std::fprintf(stderr,
-                         "fatal: --fault applies to `campaign` "
-                         "(serve drains on SIGINT/SIGTERM instead)\n");
-            return 2;
-        } else {
+        }
+        if (args.next("--spec"))
+            specFile = args.value();
+        else if (!args.take(kServeFlags, flags))
             usage();
-        }
     }
-    if (sawTenantWeights) {
-        if (tenantWeights.size() != spec.tenants.size()) {
-            std::fprintf(stderr,
-                         "fatal: --tenant-weights has %zu entries "
-                         "for %zu tenants\n",
-                         tenantWeights.size(), spec.tenants.size());
-            return 2;
-        }
-        for (std::size_t i = 0; i < tenantWeights.size(); ++i)
-            spec.tenants[i].weight = tenantWeights[i];
-    }
-    serve::labelTenants(spec);
+    serve::ServeSpec spec = specFile.empty()
+                                ? serve::ServeSpec{}
+                                : serve::parseServeSpecFile(specFile);
+    serve::ServeKeys keys(spec);
+    applyFlags(flags, [&](const app::ConfigLine &l) { keys.apply(l); });
     try {
+        keys.finish();
         serve::validateServeSpec(spec);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "fatal: %s\n", e.what());
