@@ -1,6 +1,6 @@
 /**
  * @file
- * Ablations of design choices called out in DESIGN.md:
+ * Ablations of two design choices of the reproduction:
  *
  *  (a) DDR attribution: the paper approximates each accelerator's
  *      off-chip accesses proportionally to its footprint to keep the
@@ -44,7 +44,7 @@ main()
 {
     setQuiet(true);
     banner("Ablations: DDR attribution + manual thresholds",
-           "design choices from DESIGN.md, evaluated on SoC1");
+           "design choices of the reproduction, evaluated on SoC1");
 
     const app::CampaignSpec campaign =
         app::namedCampaign("ablation", fullScale());

@@ -105,7 +105,7 @@ main()
                 100.0 * ddrReductionVsNonCoh / socCount);
     std::printf("paper reports: 38%% speedup, 66%% reduction vs the "
                 "fixed policies (FPGA testbed; shapes, not absolutes, "
-                "are expected to match -- see EXPERIMENTS.md)\n");
+                "are expected to match)\n");
     std::printf("\nsweep wall time: %.2fs on %u thread(s)\n", elapsed,
                 runner.threads());
     std::printf("\nexpected shape (paper): cohmeleon at or near the"

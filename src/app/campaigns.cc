@@ -57,8 +57,9 @@ fig9Campaign()
     return c;
 }
 
-/** The DESIGN.md ablations on SoC1: DDR-attribution scheme and
- *  Algorithm-1 threshold sensitivity, as hand-picked cells. */
+/** The ablations on SoC1 (README "Named campaigns and the figure
+ *  benches"): DDR-attribution scheme and Algorithm-1 threshold
+ *  sensitivity, as hand-picked cells. */
 CampaignSpec
 ablationCampaign(bool fullScale)
 {

@@ -143,48 +143,4 @@ DmaBridge::writeBurst(Cycles now, const mem::Allocation &alloc,
                         /*isWrite=*/true);
 }
 
-BurstResult
-DmaBridge::readBurstPerLine(Cycles now, const mem::Allocation &alloc,
-                            std::uint64_t startLine, unsigned lines,
-                            unsigned strideLines, CoherenceMode mode)
-{
-    panic_if(lines == 0, "empty DMA burst");
-    panic_if(strideLines == 0, "zero burst stride");
-    BurstResult res;
-    res.done = now;
-    const std::uint64_t total = alloc.lines();
-    for (unsigned i = 0; i < lines; ++i) {
-        const std::uint64_t line =
-            (startLine + std::uint64_t{i} * strideLines) % total;
-        const BurstResult r =
-            readLine(now, alloc.addrOfLine(line), mode);
-        res.done = std::max(res.done, r.done);
-        res.dramAccesses += r.dramAccesses;
-        res.llcHits += r.llcHits;
-    }
-    return res;
-}
-
-BurstResult
-DmaBridge::writeBurstPerLine(Cycles now, const mem::Allocation &alloc,
-                             std::uint64_t startLine, unsigned lines,
-                             unsigned strideLines, CoherenceMode mode)
-{
-    panic_if(lines == 0, "empty DMA burst");
-    panic_if(strideLines == 0, "zero burst stride");
-    BurstResult res;
-    res.done = now;
-    const std::uint64_t total = alloc.lines();
-    for (unsigned i = 0; i < lines; ++i) {
-        const std::uint64_t line =
-            (startLine + std::uint64_t{i} * strideLines) % total;
-        const BurstResult r =
-            writeLine(now, alloc.addrOfLine(line), mode);
-        res.done = std::max(res.done, r.done);
-        res.dramAccesses += r.dramAccesses;
-        res.llcHits += r.llcHits;
-    }
-    return res;
-}
-
 } // namespace cohmeleon::coh

@@ -16,11 +16,9 @@
  * up front (Allocation::resolveLines — wrap and page split without
  * per-line division), then handed to the MemorySystem batch entry
  * points, which group the lines into same-partition runs and charge
- * NoC routes and DRAM timing per run. The pre-overhaul per-line path
- * is preserved (readBurstPerLine/writeBurstPerLine) as the reference
- * implementation: the differential tests assert the batched engine
- * reproduces its results bit-for-bit, and bench_mem measures the
- * speedup against it.
+ * NoC routes and DRAM timing per run. The differential tests assert
+ * the batched engine reproduces, bit-for-bit, a burst issued as one
+ * readLine/writeLine call per element.
  */
 
 #ifndef COHMELEON_COH_DMA_BRIDGE_HH
@@ -75,24 +73,6 @@ class DmaBridge
     BurstResult writeBurst(Cycles now, const mem::Allocation &alloc,
                            std::uint64_t startLine, unsigned lines,
                            unsigned strideLines, CoherenceMode mode);
-
-    /**
-     * Reference per-line burst implementations (one readLine/writeLine
-     * call per element, each paying the full mode dispatch, address
-     * resolution, partition lookup, and NoC route computation). Kept
-     * as the oracle for the batched engine and as the bench_mem
-     * baseline; not used on the hot path.
-     */
-    BurstResult readBurstPerLine(Cycles now,
-                                 const mem::Allocation &alloc,
-                                 std::uint64_t startLine,
-                                 unsigned lines, unsigned strideLines,
-                                 CoherenceMode mode);
-    BurstResult writeBurstPerLine(Cycles now,
-                                  const mem::Allocation &alloc,
-                                  std::uint64_t startLine,
-                                  unsigned lines, unsigned strideLines,
-                                  CoherenceMode mode);
 
     /** Single-line variants used for irregular access patterns. */
     BurstResult readLine(Cycles now, Addr lineAddr, CoherenceMode mode);

@@ -8,8 +8,7 @@
  * serialization at both endpoints and pays the hop latency in between.
  * Endpoint contention is what matters for the phenomena the paper
  * studies (many accelerators converging on a few memory tiles), so
- * intermediate-router contention is deliberately not modeled; the
- * bench/bench_micro binary quantifies the cost of this model.
+ * intermediate-router contention is deliberately not modeled.
  */
 
 #ifndef COHMELEON_NOC_NOC_MODEL_HH

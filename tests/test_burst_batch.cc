@@ -2,8 +2,8 @@
  *  every coherence mode and a burst mix covering contiguous, strided,
  *  wrapped, and partition-crossing accesses, the batched path
  *  (DmaBridge::readBurst/writeBurst -> MemorySystem::dmaBurst/
- *  dramBurst) must reproduce the preserved per-line reference path
- *  (readBurstPerLine/writeBurstPerLine) bit-for-bit: every
+ *  dramBurst) must reproduce the per-line reference (burstPerLine:
+ *  one DmaBridge::readLine/writeLine per element) bit-for-bit: every
  *  BurstResult, every cache/DRAM/NoC statistic, the version-checker
  *  outcome, the full directory state, and the directory-invariant
  *  audit. */
@@ -117,6 +117,30 @@ snapshot(System &s, std::vector<coh::BurstResult> bursts)
     return snap;
 }
 
+/** The per-line reference burst: one readLine/writeLine call per
+ *  element, each paying the full mode dispatch, address resolution,
+ *  partition lookup and NoC route computation. */
+coh::BurstResult
+burstPerLine(coh::DmaBridge &bridge, Cycles now, const Allocation &alloc,
+             std::uint64_t startLine, unsigned lines,
+             unsigned strideLines, CoherenceMode mode, bool isWrite)
+{
+    coh::BurstResult res;
+    res.done = now;
+    const std::uint64_t total = alloc.lines();
+    for (unsigned i = 0; i < lines; ++i) {
+        const Addr addr = alloc.addrOfLine(
+            (startLine + std::uint64_t{i} * strideLines) % total);
+        const coh::BurstResult r = isWrite
+                                       ? bridge.writeLine(now, addr, mode)
+                                       : bridge.readLine(now, addr, mode);
+        res.done = std::max(res.done, r.done);
+        res.dramAccesses += r.dramAccesses;
+        res.llcHits += r.llcHits;
+    }
+    return res;
+}
+
 /** Drive the burst mix through one engine. */
 Snapshot
 runScenario(System &s, CoherenceMode mode, bool batched)
@@ -167,13 +191,8 @@ runScenario(System &s, CoherenceMode mode, bool batched)
                         : s.bridge->readBurst(now, s.data, b.start,
                                               b.lines, b.stride, mode);
         } else {
-            r = b.write
-                    ? s.bridge->writeBurstPerLine(now, s.data, b.start,
-                                                  b.lines, b.stride,
-                                                  mode)
-                    : s.bridge->readBurstPerLine(now, s.data, b.start,
-                                                 b.lines, b.stride,
-                                                 mode);
+            r = burstPerLine(*s.bridge, now, s.data, b.start, b.lines,
+                             b.stride, mode, b.write);
         }
         results.push_back(r);
         now = r.done + 100;

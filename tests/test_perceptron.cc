@@ -2,8 +2,9 @@
  * @file
  * Tests for the hashed-perceptron learned-model backend
  * (rl::PerceptronModel): feature-hash determinism, bucket collision
- * behavior, weight saturation, shard-merge associativity, and the
- * fail-loudly (de)serialization contract.
+ * behavior, weight saturation, shard-merge associativity, the
+ * fail-loudly (de)serialization contract, and the exact training
+ * counts of the learned-backend study (bench_perceptron).
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +12,12 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "app/training_driver.hh"
 #include "rl/learned_model.hh"
 #include "rl/perceptron.hh"
+#include "soc/soc_presets.hh"
 #include "test_util.hh"
 
 using namespace cohmeleon;
@@ -295,4 +299,37 @@ TEST(Perceptron, ModelWrapperRefusesTheTabularEscapeHatch)
     EXPECT_EQ(rl::toString(model.spec()), "perceptron:tables=4,bits=6");
     EXPECT_EQ(rl::entryCapacity(model.spec()),
               4ull * (1ull << 6) * rl::kNumActions);
+}
+
+TEST(Perceptron, StudyTrainingCountsArePinnedExactly)
+{
+    // bench_perceptron's quick sh4 configuration: soc1+soc2, 6 passes,
+    // 4 shards per SoC, small random apps. entries_covered pins the
+    // perceptron's feature-hash layout; any drift in the simulator,
+    // the training schedule or the hash changes these numbers.
+    setQuiet(true);
+    app::TrainingOptions opts;
+    opts.iterations = 6;
+    opts.shards = 4;
+    opts.appParams = app::RandomAppParams{};
+    opts.appParams.phases = 2;
+    opts.appParams.maxThreads = 3;
+    opts.appParams.maxLoops = 1;
+    const std::vector<soc::SocConfig> cfgs = {soc::makeSocByName("soc1"),
+                                              soc::makeSocByName("soc2")};
+    app::ParallelRunner runner(2);
+
+    opts.model = rl::modelSpecFromString("tabular");
+    const app::TrainingResult tabular =
+        app::trainAcrossSocs(cfgs, opts, runner);
+    opts.model = rl::modelSpecFromString("perceptron:tables=16,bits=12");
+    const app::TrainingResult perceptron =
+        app::trainAcrossSocs(cfgs, opts, runner);
+
+    EXPECT_EQ(tabular.totalInvocations + perceptron.totalInvocations,
+              708u);
+    EXPECT_EQ(tabular.checkpoint.model.totalVisits(), 354u);
+    EXPECT_EQ(perceptron.checkpoint.model.totalVisits(), 354u);
+    EXPECT_EQ(tabular.checkpoint.model.updatedEntries(), 84u);
+    EXPECT_EQ(perceptron.checkpoint.model.updatedEntries(), 1150u);
 }
