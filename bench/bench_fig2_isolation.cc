@@ -25,8 +25,6 @@ main()
            "normalized to non-coh-dma");
 
     soc::Soc soc(soc::makeMotivationSoc());
-    policy::ScriptedPolicy policy;
-    rt::EspRuntime runtime(soc, policy);
 
     struct SizePoint
     {
@@ -51,8 +49,10 @@ main()
             double exec[coh::kNumModes];
             double ddr[coh::kNumModes];
             for (coh::CoherenceMode mode : coh::kAllModes) {
-                const rt::InvocationRecord r = isolatedRun(
-                    soc, runtime, policy, acc, mode, size.bytes);
+                soc.reset();
+                policy::ScriptedPolicy policy(mode);
+                const rt::InvocationRecord r = rt::runIsolatedInvocation(
+                    soc, policy, acc, size.bytes);
                 exec[static_cast<unsigned>(mode)] =
                     static_cast<double>(r.wallCycles);
                 ddr[static_cast<unsigned>(mode)] =

@@ -25,7 +25,6 @@ main()
 
     soc::Soc soc(soc::makeSoc0());
     policy::CohmeleonPolicy policy;
-    rt::EspRuntime runtime(soc, policy);
 
     const Cycles perInvocationOverhead =
         soc.config().sw.statusTracking + policy.decisionCost() +
@@ -36,24 +35,8 @@ main()
     for (std::uint64_t kb : {16ull, 64ull, 256ull, 1024ull, 4096ull}) {
         const std::uint64_t footprint = kb * 1024;
         soc.reset();
-        runtime.reset();
-
-        mem::Allocation data = soc.allocator().allocate(footprint);
-        const Cycles warm =
-            soc.cpuWriteRange(soc.eq().now(), 0, data, footprint);
-        rt::InvocationRecord rec;
-        soc.eq().scheduleAt(warm, [&] {
-            rt::InvocationRequest req;
-            req.acc = 0;
-            req.footprintBytes = footprint;
-            req.data = &data;
-            runtime.invoke(0, req,
-                           [&](const rt::InvocationRecord &r) {
-                               rec = r;
-                           });
-        });
-        soc.eq().run();
-        soc.allocator().free(data);
+        const rt::InvocationRecord rec =
+            rt::runIsolatedInvocation(soc, policy, 0, footprint);
 
         const double fraction =
             static_cast<double>(perInvocationOverhead) /

@@ -1,8 +1,7 @@
 /**
  * @file
  * Shared helpers for the figure/table reproduction binaries: scale
- * control (quick vs. full runs), isolated-invocation drivers, and
- * table formatting.
+ * control (quick vs. full runs) and table formatting.
  *
  * Every binary prints the rows/series of the corresponding paper
  * figure. Set COHMELEON_BENCH_FULL=1 to run at full paper scale
@@ -51,38 +50,6 @@ banner(const char *what, const char *paperRef)
     std::printf("reproduces: %s\n", paperRef);
     std::printf("scale: %s (set COHMELEON_BENCH_FULL=1 for full)\n\n",
                 fullScale() ? "full" : "quick");
-}
-
-/** One warmed, isolated invocation driven to completion. */
-inline rt::InvocationRecord
-isolatedRun(soc::Soc &soc, rt::EspRuntime &runtime,
-            policy::ScriptedPolicy &policy, AccId acc,
-            coh::CoherenceMode mode, std::uint64_t footprint)
-{
-    soc.reset();
-    runtime.reset();
-    policy.setMode(mode);
-
-    mem::Allocation data = soc.allocator().allocate(footprint);
-    const Cycles warm =
-        soc.cpuWriteRange(soc.eq().now(), 0, data, footprint);
-
-    rt::InvocationRecord record;
-    bool finished = false;
-    soc.eq().scheduleAt(warm, [&] {
-        rt::InvocationRequest req;
-        req.acc = acc;
-        req.footprintBytes = footprint;
-        req.data = &data;
-        runtime.invoke(0, req, [&](const rt::InvocationRecord &r) {
-            record = r;
-            finished = true;
-        });
-    });
-    soc.eq().run();
-    panic_if(!finished, "bench invocation did not finish");
-    soc.allocator().free(data);
-    return record;
 }
 
 /** "1.23" style fixed formatting that tolerates zero baselines. */

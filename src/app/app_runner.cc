@@ -77,12 +77,9 @@ AppRunner::runPhase(const PhaseSpec &phase)
             }
             if (ctx->loop >= ctx->spec->loops) {
                 // Chain complete: the application consumes the output.
-                Cycles done = soc_.eq().now();
-                if (readback_) {
-                    done = soc_.cpuReadRange(
-                        done, ctx->cpu, ctx->alloc,
-                        ctx->spec->chain.back().footprintBytes);
-                }
+                const Cycles done = soc_.cpuReadRange(
+                    soc_.eq().now(), ctx->cpu, ctx->alloc,
+                    ctx->spec->chain.back().footprintBytes);
                 soc_.eq().scheduleAt(done, [&, ctx, done] {
                     soc_.allocator().free(ctx->alloc);
                     lastFinish = std::max(lastFinish, done);
@@ -107,11 +104,9 @@ AppRunner::runPhase(const PhaseSpec &phase)
 
     // Launch every thread: initialize its dataset, then run the chain.
     for (auto &ctx : ctxs) {
-        Cycles ready = soc_.eq().now();
-        if (warmup_) {
-            ready = soc_.cpuWriteRange(ready, ctx->cpu, ctx->alloc,
-                                       ctx->spec->datasetBytes());
-        }
+        const Cycles ready =
+            soc_.cpuWriteRange(soc_.eq().now(), ctx->cpu, ctx->alloc,
+                               ctx->spec->datasetBytes());
         soc_.eq().scheduleAt(ready, [&, ctx] { nextStep(ctx); });
     }
 

@@ -52,18 +52,12 @@ class AppRunner
     /** Run all phases sequentially. */
     AppResult runApp(const AppSpec &app);
 
-    /** Toggle CPU-side dataset initialization (default on). */
-    void setWarmup(bool on) { warmup_ = on; }
-    /** Toggle CPU-side output read-back (default on). */
-    void setReadback(bool on) { readback_ = on; }
     /** Keep per-invocation records in the results (default on). */
     void setCollectRecords(bool on) { collectRecords_ = on; }
 
   private:
     soc::Soc &soc_;
     rt::EspRuntime &runtime_;
-    bool warmup_ = true;
-    bool readback_ = true;
     bool collectRecords_ = true;
 };
 

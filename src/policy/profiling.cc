@@ -5,7 +5,6 @@
 
 #include "policy/policy.hh"
 #include "rt/runtime.hh"
-#include "sim/logging.hh"
 #include "sim/stats.hh"
 
 namespace cohmeleon::policy
@@ -21,37 +20,11 @@ measureOne(soc::Soc &soc, AccId acc, coh::CoherenceMode mode,
 {
     soc.reset();
     ScriptedPolicy scripted(mode);
-    rt::EspRuntime runtime(soc, scripted);
-
-    mem::Allocation alloc = soc.allocator().allocate(footprint);
-
-    // Application-style warm-up: the CPU initializes the data.
-    const Cycles warmDone =
-        soc.cpuWriteRange(soc.eq().now(), 0, alloc, footprint);
-
-    ProfileSample sample;
-    sample.instance = soc.accelerator(acc).config().name;
-    sample.type = soc.accelerator(acc).config().typeName;
-    sample.mode = mode;
-    sample.footprintBytes = footprint;
-
-    bool finished = false;
-    soc.eq().scheduleAt(warmDone, [&] {
-        rt::InvocationRequest req;
-        req.acc = acc;
-        req.footprintBytes = footprint;
-        req.data = &alloc;
-        runtime.invoke(0, req, [&](const rt::InvocationRecord &rec) {
-            sample.wallCycles = rec.wallCycles;
-            sample.ddrMonitorDelta = rec.ddrMonitorDelta;
-            finished = true;
-        });
-    });
-    soc.eq().run();
-    panic_if(!finished, "profiling invocation never completed");
-
-    soc.allocator().free(alloc);
-    return sample;
+    const rt::InvocationRecord rec =
+        rt::runIsolatedInvocation(soc, scripted, acc, footprint);
+    const acc::AccConfig &cfg = soc.accelerator(acc).config();
+    return {cfg.name, cfg.typeName, mode, footprint, rec.wallCycles,
+            rec.ddrMonitorDelta};
 }
 
 } // namespace

@@ -240,4 +240,32 @@ EspRuntime::reset()
     completed_ = 0;
 }
 
+InvocationRecord
+runIsolatedInvocation(soc::Soc &soc, CoherencePolicy &policy, AccId acc,
+                      std::uint64_t footprintBytes)
+{
+    panic_if(soc.eq().pending() != 0,
+             "isolated invocation with events in flight");
+    EspRuntime runtime(soc, policy);
+    const mem::Allocation data =
+        soc.allocator().allocate(footprintBytes);
+    const Cycles warmDone =
+        soc.cpuWriteRange(soc.eq().now(), 0, data, footprintBytes);
+
+    std::optional<InvocationRecord> record;
+    soc.eq().scheduleAt(warmDone, [&] {
+        InvocationRequest req;
+        req.acc = acc;
+        req.footprintBytes = footprintBytes;
+        req.data = &data;
+        runtime.invoke(0, req,
+                       [&](const InvocationRecord &rec) { record = rec; });
+    });
+    soc.eq().run();
+    panic_if(!record, "isolated invocation never completed");
+
+    soc.allocator().free(data);
+    return *record;
+}
+
 } // namespace cohmeleon::rt

@@ -202,6 +202,18 @@ class EspRuntime
     std::uint64_t completed_ = 0;
 };
 
+/**
+ * Run one accelerator invocation alone on an idle @p soc: allocate
+ * @p footprintBytes, warm them from CPU 0 as an application
+ * initializes its data, invoke @p acc from CPU 0 under @p policy when
+ * the warm-up completes, drain the event queue and free the data.
+ * Nothing after the invocation's record is simulated. The profiler's
+ * samples and every served request come from here.
+ */
+InvocationRecord runIsolatedInvocation(soc::Soc &soc,
+                                       CoherencePolicy &policy, AccId acc,
+                                       std::uint64_t footprintBytes);
+
 } // namespace cohmeleon::rt
 
 #endif // COHMELEON_RT_RUNTIME_HH

@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "app/experiment.hh"
 #include "app/fault.hh"
 #include "app/parallel_runner.hh"
 #include "app/training_driver.hh"
@@ -73,25 +72,6 @@ class ServingPolicy final : public rt::CoherencePolicy
     bool decided_ = false;
     double decideSeconds_ = 0.0;
 };
-
-/** The single-invocation application one request simulates. */
-app::AppSpec
-requestApp(const ServeRequest &req)
-{
-    app::ChainStep step;
-    step.accName = req.accName;
-    step.footprintBytes = req.footprintBytes;
-    app::ThreadSpec thread;
-    thread.chain.push_back(std::move(step));
-    thread.loops = 1;
-    app::PhaseSpec phase;
-    phase.name = "serve";
-    phase.threads.push_back(std::move(thread));
-    app::AppSpec spec;
-    spec.name = "req" + std::to_string(req.seq);
-    spec.phases.push_back(std::move(phase));
-    return spec;
-}
 
 /** Train generation @p gen's shard model (fresh, not yet folded).
  *  Serial on the calling (trainer) thread; the per-generation seeds
@@ -260,18 +240,14 @@ runServe(const ServeSpec &spec)
                         handle.acquire(req.generation);
                     ServingPolicy policy(model);
                     const WallTimer serviceTimer;
-                    const app::AppResult run = app::runPolicyOnApp(
-                        policy, cfg, requestApp(req),
-                        /*collectRecords=*/true);
+                    soc::Soc soc(cfg);
+                    const rt::InvocationRecord rec =
+                        rt::runIsolatedInvocation(
+                            soc, policy, soc.findAcc(req.accName),
+                            req.footprintBytes);
                     const double serviceSec = serviceTimer.seconds();
                     handle.release(req.generation);
 
-                    panic_if(run.phases.size() != 1 ||
-                                 run.phases[0].invocations.size() != 1,
-                             "request app must produce exactly one "
-                             "invocation");
-                    const rt::InvocationRecord &rec =
-                        run.phases[0].invocations[0];
                     RequestOutcome &out = result.outcomes[seq];
                     out.served = true;
                     out.tenant = req.tenant;

@@ -10,10 +10,11 @@
  *   - N worker threads claim trace slots from one atomic cursor (so
  *     the claimed set is always a sequence prefix), pin the request's
  *     assigned model generation via SwapTableHandle::acquire(), run
- *     the single-invocation request app on a fresh SoC (the same
- *     runPolicyOnApp() isolation the sweep drivers use), and record
- *     the outcome into the request's pre-sized slot — completion
- *     order never matters.
+ *     the request's one invocation on a fresh SoC with
+ *     rt::runIsolatedInvocation() (CPU 0 warms the data, the
+ *     accelerator runs, nothing after the record is simulated), and
+ *     record the outcome into the request's pre-sized slot —
+ *     completion order never matters.
  *   - One trainer thread produces generations 1..G-1: per generation
  *     a sharded TrainingDriver run (serial, seeds derived from
  *     (seed, generation)) folds into the previous model under the

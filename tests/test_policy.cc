@@ -401,6 +401,63 @@ TEST(Profiler, SkipsUnavailableModes)
         EXPECT_NE(mode, CoherenceMode::kFullyCoh);
 }
 
+TEST(Profiler, SamplesArePinned)
+{
+    // Exact {wallCycles, ddrMonitorDelta} of the tiny-SoC sweep,
+    // instance-major, then kAllModes order, then footprint. They pin
+    // the warm-then-invoke sequence the profiler shares with the serve
+    // path (rt::runIsolatedInvocation).
+    const std::vector<std::pair<Cycles, std::uint64_t>> expected = {
+        // fft0
+        {10824, 449}, {51439, 2305}, {898066, 50178}, // non-coh-dma
+        {9585, 1}, {39455, 1}, {2591390, 49154}, // llc-coh-dma
+        {8534, 1}, {37366, 1}, {2589268, 49154}, // coh-dma
+        {6038, 1}, {40202, 1}, {2632452, 49154}, // full-coh
+        // spmv0
+        {6219, 109}, {23382, 437}, {156689, 3906}, // non-coh-dma
+        {4769, 1}, {9510, 1}, {186472, 3023}, // llc-coh-dma
+        {4280, 1}, {8467, 1}, {188370, 3064}, // coh-dma
+        {4174, 1}, {7904, 1}, {206001, 3379}, // full-coh
+        // mriq0
+        {14581, 145}, {52899, 577}, {605320, 6146}, // non-coh-dma
+        {13433, 1}, {41554, 1}, {587323, 6018}, // llc-coh-dma
+        {12478, 1}, {39365, 1}, {585133, 6018}, // coh-dma
+        {12478, 1}, {39365, 1}, {586303, 7042}, // full-coh
+        // tgen0
+        {6607, 161}, {22905, 641}, {141326, 7170}, // non-coh-dma
+        {5475, 1}, {11365, 1}, {280994, 6658}, // llc-coh-dma
+        {4456, 1}, {9304, 1}, {278940, 6658}, // coh-dma
+        {4456, 1}, {9304, 1}, {302468, 8706}, // full-coh
+    };
+    const std::vector<std::uint64_t> footprints = {
+        test::kTinySmall, test::kTinyMedium, test::kTinyLarge};
+    soc::Soc soc(test::tinySocConfig());
+    const ProfileResult prof = profileAccelerators(soc, footprints);
+
+    ASSERT_EQ(prof.samples.size(), expected.size());
+    std::size_t i = 0;
+    for (const char *instance : {"fft0", "spmv0", "mriq0", "tgen0"}) {
+        for (CoherenceMode mode : coh::kAllModes) {
+            for (std::uint64_t footprint : footprints) {
+                const ProfileSample &s = prof.samples[i];
+                SCOPED_TRACE(std::string(instance) + " " +
+                             std::string(coh::toString(mode)) + " " +
+                             std::to_string(footprint));
+                EXPECT_EQ(s.instance, instance);
+                EXPECT_EQ(s.mode, mode);
+                EXPECT_EQ(s.footprintBytes, footprint);
+                EXPECT_EQ(s.wallCycles, expected[i].first);
+                EXPECT_EQ(s.ddrMonitorDelta, expected[i].second);
+                ++i;
+            }
+        }
+    }
+    EXPECT_EQ(prof.bestMode.at("fft0"), CoherenceMode::kNonCohDma);
+    EXPECT_EQ(prof.bestMode.at("spmv0"), CoherenceMode::kFullyCoh);
+    EXPECT_EQ(prof.bestMode.at("mriq0"), CoherenceMode::kCohDma);
+    EXPECT_EQ(prof.bestMode.at("tgen0"), CoherenceMode::kCohDma);
+}
+
 // --------------------------------------------------------------- helper
 
 TEST(Fallback, PicksWantedWhenAvailable)

@@ -3,7 +3,8 @@
  *  deterministic request trace and generation schedule, the
  *  double-buffered swap-table handle, the log-bucketed latency
  *  histogram's quantile guarantees, the serving+staging state
- *  round-trip, and the serve loop's headline invariants —
+ *  round-trip, the isolated request invocation against the
+ *  one-invocation app, and the serve loop's headline invariants —
  *  byte-identical decision logs at any thread count, hot swaps under
  *  load with no torn generations, and thread-count-independent
  *  per-tenant reward attribution. */
@@ -14,11 +15,14 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "app/experiment.hh"
 #include "app/fault.hh"
+#include "policy/fixed.hh"
 #include "policy/serve_state.hh"
 #include "rl/table_handle.hh"
 #include "serve/serve_loop.hh"
@@ -268,6 +272,96 @@ TEST(RequestGen, FigureTenantOnSmallSocIsDiagnosed)
         [&] { serve::generateRequestTrace(spec, soc); });
     EXPECT_NE(diag.find("fig5"), std::string::npos);
     EXPECT_NE(diag.find("tgen"), std::string::npos);
+}
+
+// ------------------------------------------------- the request path
+
+namespace
+{
+
+/** The request as a one-invocation app, run through AppRunner (warm
+ *  up, invoke, read the output back): the reference the isolated
+ *  request invocation must reproduce record for record. */
+rt::InvocationRecord
+recordViaApp(rt::CoherencePolicy &policy, const soc::SocConfig &cfg,
+             const serve::ServeRequest &req)
+{
+    app::ThreadSpec thread;
+    thread.chain.push_back({req.accName, req.footprintBytes});
+    app::PhaseSpec phase;
+    phase.name = "serve";
+    phase.threads.push_back(std::move(thread));
+    app::AppSpec spec;
+    spec.name = "req" + std::to_string(req.seq);
+    spec.phases.push_back(std::move(phase));
+    const app::AppResult run = app::runPolicyOnApp(
+        policy, cfg, spec, /*collectRecords=*/true);
+    EXPECT_EQ(run.phases.size(), 1u);
+    EXPECT_EQ(run.phases.at(0).invocations.size(), 1u);
+    return run.phases.at(0).invocations.at(0);
+}
+
+void
+expectSameRecord(const rt::InvocationRecord &a,
+                 const rt::InvocationRecord &b)
+{
+    EXPECT_EQ(a.acc, b.acc);
+    EXPECT_EQ(a.accType, b.accType);
+    EXPECT_EQ(a.mode, b.mode);
+    EXPECT_EQ(a.footprintBytes, b.footprintBytes);
+    EXPECT_EQ(a.invokeTime, b.invokeTime);
+    EXPECT_EQ(a.endTime, b.endTime);
+    EXPECT_EQ(a.wallCycles, b.wallCycles);
+    EXPECT_EQ(a.flushCycles, b.flushCycles);
+    EXPECT_EQ(a.tlbCycles, b.tlbCycles);
+    EXPECT_EQ(a.swOverheadCycles, b.swOverheadCycles);
+    EXPECT_EQ(a.accTotalCycles, b.accTotalCycles);
+    EXPECT_EQ(a.accCommCycles, b.accCommCycles);
+    EXPECT_EQ(a.ddrApprox, b.ddrApprox);
+    EXPECT_EQ(a.ddrExact, b.ddrExact);
+    EXPECT_EQ(a.ddrMonitorDelta, b.ddrMonitorDelta);
+    EXPECT_EQ(a.policyTag, b.policyTag);
+}
+
+} // namespace
+
+TEST(ServeRequest, IsolatedInvocationMatchesTheOneInvocationApp)
+{
+    // soc1 with two random tenants (the benchmark's SoC), and soc0,
+    // the smallest preset that can host a fig5 tenant.
+    serve::ServeSpec randomOnly = baseServeSpec();
+    randomOnly.requests = 6;
+    serve::ServeSpec mixed = randomOnly;
+    mixed.soc = "soc0";
+    mixed.tenants = {{"random", 1.0, ""}, {"fig5", 1.0, ""}};
+    serve::labelTenants(mixed);
+
+    for (const serve::ServeSpec &spec : {randomOnly, mixed}) {
+        const soc::SocConfig cfg = soc::makeSocByName(spec.soc);
+        const soc::Soc naming(cfg);
+        std::set<unsigned> tenantsSeen;
+        for (const serve::ServeRequest &req :
+             serve::generateRequestTrace(spec, naming)) {
+            tenantsSeen.insert(req.tenant);
+            for (coh::CoherenceMode mode : coh::kAllModes) {
+                SCOPED_TRACE(spec.soc + " req " +
+                             std::to_string(req.seq) + " " +
+                             std::string(coh::toString(mode)));
+                policy::FixedPolicy reference(mode);
+                const rt::InvocationRecord want =
+                    recordViaApp(reference, cfg, req);
+
+                policy::FixedPolicy isolated(mode);
+                soc::Soc soc(cfg);
+                const rt::InvocationRecord got =
+                    rt::runIsolatedInvocation(
+                        soc, isolated, soc.findAcc(req.accName),
+                        req.footprintBytes);
+                expectSameRecord(got, want);
+            }
+        }
+        EXPECT_EQ(tenantsSeen.size(), spec.tenants.size());
+    }
 }
 
 // ------------------------------------------------- the table handle
