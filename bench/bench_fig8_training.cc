@@ -25,17 +25,6 @@
 using namespace cohmeleon;
 using namespace cohmeleon::bench;
 
-namespace
-{
-
-struct IterRow
-{
-    double exec = 0.0;
-    double ddr = 0.0;
-};
-
-} // namespace
-
 int
 main()
 {
@@ -50,38 +39,21 @@ main()
     app::EvalOptions opts;
     opts.appParams = app::denseTrainingParams();
 
-    soc::Soc namingSoc(cfg);
-    const app::AppSpec trainApp = app::generateRandomApp(
-        namingSoc, Rng(opts.trainSeed), opts.appParams);
-    const app::AppSpec evalApp = app::generateRandomApp(
-        namingSoc, Rng(opts.evalSeed), opts.appParams);
+    const app::ProtocolApps apps = app::makeProtocolApps(cfg, opts);
 
     // Baseline for normalization.
     policy::FixedPolicy baselinePolicy(coh::CoherenceMode::kNonCohDma);
     const app::AppResult baseline =
-        app::runPolicyOnApp(baselinePolicy, cfg, evalApp);
+        app::runPolicyOnApp(baselinePolicy, cfg, apps.eval);
 
     auto evalNow = [&](policy::CohmeleonPolicy &policy) {
         const bool wasFrozen = policy.agent().frozen();
         policy.freeze();
         const app::AppResult r =
-            app::runPolicyOnApp(policy, cfg, evalApp);
+            app::runPolicyOnApp(policy, cfg, apps.eval);
         if (!wasFrozen)
             policy.unfreeze();
-        std::vector<double> execRatios;
-        std::vector<double> ddrRatios;
-        for (std::size_t i = 0; i < r.phases.size(); ++i) {
-            execRatios.push_back(app::safeRatio(
-                static_cast<double>(r.phases[i].execCycles),
-                static_cast<double>(
-                    baseline.phases[i].execCycles)));
-            ddrRatios.push_back(app::safeRatio(
-                static_cast<double>(r.phases[i].ddrAccesses),
-                static_cast<double>(
-                    baseline.phases[i].ddrAccesses)));
-        }
-        return IterRow{geometricMean(execRatios),
-                       geometricMean(ddrRatios)};
+        return app::normalizePhases(r.phases, baseline.phases);
     };
 
     const std::vector<unsigned> horizons =
@@ -93,19 +65,19 @@ main()
     app::ParallelRunner runner;
     std::printf("experiment driver: %u thread(s)\n\n",
                 runner.threads());
-    std::vector<std::vector<IterRow>> series(horizons.size());
+    std::vector<std::vector<app::PhaseNorm>> series(horizons.size());
     runner.forEach(horizons.size(), [&](std::size_t h) {
         const unsigned horizon = horizons[h];
         policy::CohmeleonParams params;
         params.agent.decayIterations = horizon;
         policy::CohmeleonPolicy policy(params);
 
-        std::vector<IterRow> rows;
+        std::vector<app::PhaseNorm> rows;
         rows.push_back(evalNow(policy));
         for (unsigned it = 1; it <= horizon; ++it) {
             // One pass of the training subsystem's iteration unit —
-            // the same code the parallel TrainingDriver shards run.
-            app::runTrainingIteration(policy, cfg, trainApp);
+            // the same code every trainAcrossSocs() shard runs.
+            app::runTrainingIteration(policy, cfg, apps.train);
             rows.push_back(evalNow(policy));
         }
         series[h] = std::move(rows);
@@ -117,7 +89,7 @@ main()
                     "ddr(norm)");
         for (std::size_t it = 0; it < series[h].size(); ++it) {
             std::printf("%5zu %12.3f %12.3f%s\n", it,
-                        series[h][it].exec, series[h][it].ddr,
+                        series[h][it].geoExec, series[h][it].geoDdr,
                         it == 0 ? "   (untrained = random)" : "");
         }
         std::printf("\n");

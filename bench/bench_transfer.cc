@@ -26,9 +26,6 @@
 #include "app/parallel_runner.hh"
 #include "app/training_driver.hh"
 #include "bench_util.hh"
-#include "policy/checkpoint.hh"
-#include "policy/fixed.hh"
-#include "sim/stats.hh"
 #include "soc/soc_presets.hh"
 
 using namespace cohmeleon;
@@ -54,46 +51,6 @@ constexpr StrategyCase kStrategies[] = {
     {"visit-weighted/floor", "visit-weighted", "floor@0.1"},
     {"visit-weighted/visit", "visit-weighted", "visit@1"},
 };
-
-/** Normalized quality of @p model on @p cfg: geometric-mean exec and
- *  DDR ratios vs fixed non-coherent DMA on the same evaluation app. */
-struct EvalQuality
-{
-    double execNorm = 1.0;
-    double ddrNorm = 1.0;
-};
-
-EvalQuality
-evaluateOn(const policy::PolicyCheckpoint &model,
-           const soc::SocConfig &cfg,
-           const app::RandomAppParams &appParams)
-{
-    soc::Soc naming(cfg);
-    const app::AppSpec evalApp =
-        app::generateRandomApp(naming, Rng(2022), appParams);
-
-    policy::FixedPolicy baseline(coh::CoherenceMode::kNonCohDma);
-    const app::AppResult base =
-        app::runPolicyOnApp(baseline, cfg, evalApp);
-    const app::AppResult eval =
-        app::TrainingDriver::evaluate(model, cfg, evalApp);
-
-    std::vector<double> execRatios;
-    std::vector<double> ddrRatios;
-    for (std::size_t i = 0; i < eval.phases.size(); ++i) {
-        execRatios.push_back(std::max(
-            app::safeRatio(
-                static_cast<double>(eval.phases[i].execCycles),
-                static_cast<double>(base.phases[i].execCycles)),
-            1e-9));
-        ddrRatios.push_back(std::max(
-            app::safeRatio(
-                static_cast<double>(eval.phases[i].ddrAccesses),
-                static_cast<double>(base.phases[i].ddrAccesses)),
-            1e-9));
-    }
-    return {geometricMean(execRatios), geometricMean(ddrRatios)};
-}
 
 } // namespace
 
@@ -192,15 +149,15 @@ main()
                         static_cast<unsigned long long>(
                             tres.checkpoint.model.totalVisits()));
             for (std::size_t e = 0; e < evalCfgs.size(); ++e) {
-                const EvalQuality q = evaluateOn(
+                const app::PhaseNorm q = evaluateCheckpoint(
                     tres.checkpoint, evalCfgs[e], base.appParams);
                 json.add(prefix + "." + evalSocNames[e] +
                              ".exec_norm",
-                         q.execNorm);
+                         q.geoExec);
                 json.add(prefix + "." + evalSocNames[e] +
                              ".ddr_norm",
-                         q.ddrNorm);
-                std::printf(" %11.3f", q.execNorm);
+                         q.geoDdr);
+                std::printf(" %11.3f", q.geoExec);
             }
             std::printf("\n");
         }

@@ -93,9 +93,8 @@ main()
     policy::CohmeleonParams params;
     params.agent.decayIterations = opts.trainIterations;
     policy::CohmeleonPolicy cohmeleon(params);
-    const app::AppSpec trainApp = app::generateRandomApp(
-        naming, Rng(opts.trainSeed), opts.appParams);
-    app::trainCohmeleon(cohmeleon, cfg, trainApp,
+    app::trainCohmeleon(cohmeleon, cfg,
+                        app::protocolTrainApp(naming, opts),
                         opts.trainIterations);
     report("\ncohmeleon (trained 10 iterations, frozen):",
            app::runPolicyOnApp(cohmeleon, cfg, spec));

@@ -63,11 +63,9 @@ main()
     policy::CohmeleonParams params;
     params.agent.decayIterations = opts.trainIterations;
     policy::CohmeleonPolicy cohmeleon(params);
-    app::trainCohmeleon(
-        cohmeleon, cfg,
-        app::generateRandomApp(naming, Rng(opts.trainSeed),
-                               opts.appParams),
-        opts.trainIterations);
+    app::trainCohmeleon(cohmeleon, cfg,
+                        app::protocolTrainApp(naming, opts),
+                        opts.trainIterations);
 
     std::printf("%-12s %14s %12s | mode picked per stage (first "
                 "pipeline)\n",

@@ -16,7 +16,6 @@
 #include "policy/cohmeleon_policy.hh"
 #include "policy/policy.hh"
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 
 namespace cohmeleon::app
 {
@@ -313,21 +312,17 @@ runProtocolCell(const ScenarioSpec &s,
     eopts.model = s.model;
     eopts.collectRecords = s.collectRecords;
 
-    // The protocol's applications. For random evaluation apps this is
-    // exactly makeProtocolApps(); file/figure apps replace the
-    // evaluation side only (Cohmeleon still trains on a random
-    // instance, per the paper's methodology).
+    // The protocol's applications, from makeProtocolApps()'s helpers.
+    // File/figure apps replace the evaluation side only (Cohmeleon
+    // still trains on a random instance, per the paper's methodology).
     AppSpec trainApp;
     AppSpec evalApp;
     {
         soc::Soc naming(cfg);
-        trainApp = generateRandomApp(
-            naming, Rng(eopts.trainSeed),
-            eopts.trainAppParams.value_or(eopts.appParams));
+        trainApp = protocolTrainApp(naming, eopts);
         switch (s.appSource) {
           case AppSource::kRandom:
-            evalApp = generateRandomApp(naming, Rng(eopts.evalSeed),
-                                        eopts.appParams);
+            evalApp = protocolEvalApp(naming, eopts);
             break;
           case AppSource::kFile: {
             std::ifstream in(s.appFile);
@@ -413,7 +408,7 @@ runProtocolCell(const ScenarioSpec &s,
             // Sharded deterministic training, serial inside the cell
             // (cells themselves are the parallel unit). The model is
             // a pure function of the spec — byte-identical to any
-            // --train-jobs width of the standalone driver.
+            // `train --jobs` width of the standalone trainer.
             TrainingOptions topts;
             topts.iterations = eopts.trainIterations;
             topts.shards = s.trainShards;
@@ -426,8 +421,8 @@ runProtocolCell(const ScenarioSpec &s,
                 eopts.trainAppParams.value_or(eopts.appParams);
             topts.knobs = knobs;
             ParallelRunner serial(1);
-            TrainingDriver driver(serial);
-            const TrainingResult tres = driver.train(cfg, topts);
+            const TrainingResult tres =
+                trainAcrossSocs({cfg}, topts, serial);
             auto trained = tres.checkpoint.makePolicy();
             cohm = trained.get();
             policy = std::move(trained);
@@ -576,8 +571,8 @@ checkFaultCanFire(const FaultPlan &fault, std::size_t slots,
 // --------------------------------------------------------- normalizing
 
 /** Per-group normalization (main thread, fixed order). Protocol
- *  groups replicate normalizeOutcomes() against the baseline-policy
- *  cell; concurrent groups replicate Figure 3's per-accelerator
+ *  groups apply normalizePhases() against the baseline-policy cell;
+ *  concurrent groups replicate Figure 3's per-accelerator
  *  normalization against the auto-generated single-run cells. */
 void
 normalizeGroups(const CampaignSpec &spec,
@@ -673,24 +668,11 @@ normalizeGroups(const CampaignSpec &spec,
             fatalIf(c.phases.size() != base.size(),
                     "cells in one normalization group ran different "
                     "apps ('", c.scenario.name, "' vs the baseline)");
-            std::vector<double> execRatios;
-            std::vector<double> ddrRatios;
-            c.execNorm.clear();
-            c.ddrNorm.clear();
-            for (std::size_t p = 0; p < c.phases.size(); ++p) {
-                const double e = safeRatio(
-                    static_cast<double>(c.phases[p].execCycles),
-                    static_cast<double>(base[p].execCycles));
-                const double d = safeRatio(
-                    static_cast<double>(c.phases[p].ddrAccesses),
-                    static_cast<double>(base[p].ddrAccesses));
-                c.execNorm.push_back(e);
-                c.ddrNorm.push_back(d);
-                execRatios.push_back(std::max(e, 1e-9));
-                ddrRatios.push_back(std::max(d, 1e-9));
-            }
-            c.geoExec = geometricMean(execRatios);
-            c.geoDdr = geometricMean(ddrRatios);
+            PhaseNorm n = normalizePhases(c.phases, base);
+            c.geoExec = n.geoExec;
+            c.geoDdr = n.geoDdr;
+            c.execNorm = std::move(n.execNorm);
+            c.ddrNorm = std::move(n.ddrNorm);
         }
     }
 }

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "app/experiment.hh"
 #include "app/fault.hh"
 #include "app/parallel_runner.hh"
 #include "app/scenario.hh"

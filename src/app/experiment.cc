@@ -105,14 +105,6 @@ parsePolicyName(const std::string &name)
           "'; known: ", knownPolicyFormsText(), ")");
 }
 
-double
-safeRatio(double value, double baseline)
-{
-    if (baseline <= 0.0)
-        return value <= 0.0 ? 1.0 : 2.0; // worse than an empty baseline
-    return value / baseline;
-}
-
 void
 RuntimeKnobs::applyTo(soc::Soc &soc, rt::EspRuntime &runtime) const
 {
@@ -165,15 +157,6 @@ makePolicyByName(const std::string &name, const soc::SocConfig &cfg,
 std::vector<AppResult>
 trainCohmeleon(policy::CohmeleonPolicy &policy,
                const soc::SocConfig &cfg, const AppSpec &trainApp,
-               unsigned iterations)
-{
-    return trainCohmeleon(policy, cfg, trainApp, iterations,
-                          RuntimeKnobs{});
-}
-
-std::vector<AppResult>
-trainCohmeleon(policy::CohmeleonPolicy &policy,
-               const soc::SocConfig &cfg, const AppSpec &trainApp,
                unsigned iterations, const RuntimeKnobs &knobs)
 {
     std::vector<AppResult> perIteration;
@@ -182,14 +165,6 @@ trainCohmeleon(policy::CohmeleonPolicy &policy,
             runTrainingIteration(policy, cfg, trainApp, knobs));
     policy.freeze();
     return perIteration;
-}
-
-AppResult
-runPolicyOnApp(rt::CoherencePolicy &policy, const soc::SocConfig &cfg,
-               const AppSpec &app, bool collectRecords)
-{
-    return runPolicyOnApp(policy, cfg, app, RuntimeKnobs{},
-                          collectRecords);
 }
 
 AppResult
@@ -211,15 +186,8 @@ runPolicyOnApp(rt::CoherencePolicy &policy, const soc::SocConfig &cfg,
     return result;
 }
 
-namespace
-{
-
-// The instances are derived from the SoC itself so that accelerator
-// names match; a throwaway Soc provides the name table
-// (generateRandomApp does not mutate it). These two helpers are the
-// only places the protocol's apps are derived from seeds.
 AppSpec
-trainAppFor(const soc::Soc &namingSoc, const EvalOptions &opts)
+protocolTrainApp(const soc::Soc &namingSoc, const EvalOptions &opts)
 {
     return generateRandomApp(
         namingSoc, Rng(opts.trainSeed),
@@ -227,19 +195,18 @@ trainAppFor(const soc::Soc &namingSoc, const EvalOptions &opts)
 }
 
 AppSpec
-evalAppFor(const soc::Soc &namingSoc, const EvalOptions &opts)
+protocolEvalApp(const soc::Soc &namingSoc, const EvalOptions &opts)
 {
     return generateRandomApp(namingSoc, Rng(opts.evalSeed),
                              opts.appParams);
 }
 
-} // namespace
-
 ProtocolApps
 makeProtocolApps(const soc::SocConfig &cfg, const EvalOptions &opts)
 {
     soc::Soc namingSoc(cfg);
-    return {trainAppFor(namingSoc, opts), evalAppFor(namingSoc, opts)};
+    return {protocolTrainApp(namingSoc, opts),
+            protocolEvalApp(namingSoc, opts)};
 }
 
 namespace
@@ -279,15 +246,6 @@ evaluatePolicies(const soc::SocConfig &cfg, const EvalOptions &opts,
 std::vector<PhaseResult>
 runProtocolForPolicy(const std::string &name, const soc::SocConfig &cfg,
                      const EvalOptions &opts, const AppSpec &trainApp,
-                     const AppSpec &evalApp)
-{
-    return runProtocolForPolicy(name, cfg, opts, trainApp, evalApp,
-                                RuntimeKnobs{});
-}
-
-std::vector<PhaseResult>
-runProtocolForPolicy(const std::string &name, const soc::SocConfig &cfg,
-                     const EvalOptions &opts, const AppSpec &trainApp,
                      const AppSpec &evalApp, const RuntimeKnobs &knobs)
 {
     std::unique_ptr<rt::CoherencePolicy> policy =
@@ -309,8 +267,48 @@ evaluatePoliciesOnApp(const soc::SocConfig &cfg, const EvalOptions &opts,
                       std::vector<std::string> policyNames)
 {
     soc::Soc namingSoc(cfg);
-    return evaluateOnApps(cfg, opts, trainAppFor(namingSoc, opts),
+    return evaluateOnApps(cfg, opts, protocolTrainApp(namingSoc, opts),
                           evalApp, std::move(policyNames));
+}
+
+namespace
+{
+
+double
+safeRatio(double value, double baseline)
+{
+    if (baseline <= 0.0)
+        return value <= 0.0 ? 1.0 : 2.0; // worse than an empty baseline
+    return value / baseline;
+}
+
+} // namespace
+
+PhaseNorm
+normalizePhases(const std::vector<PhaseResult> &phases,
+                const std::vector<PhaseResult> &baseline)
+{
+    panic_if(phases.size() != baseline.size(),
+             "normalizing ", phases.size(), " phases against ",
+             baseline.size());
+    PhaseNorm n;
+    std::vector<double> execRatios;
+    std::vector<double> ddrRatios;
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+        const double e =
+            safeRatio(static_cast<double>(phases[i].execCycles),
+                      static_cast<double>(baseline[i].execCycles));
+        const double d =
+            safeRatio(static_cast<double>(phases[i].ddrAccesses),
+                      static_cast<double>(baseline[i].ddrAccesses));
+        n.execNorm.push_back(e);
+        n.ddrNorm.push_back(d);
+        execRatios.push_back(std::max(e, 1e-9));
+        ddrRatios.push_back(std::max(d, 1e-9));
+    }
+    n.geoExec = geometricMean(execRatios);
+    n.geoDdr = geometricMean(ddrRatios);
+    return n;
 }
 
 void
@@ -319,22 +317,11 @@ normalizeOutcomes(std::vector<PolicyOutcome> &outcomes)
     // Normalize against the first policy (the figures' baseline).
     const std::vector<PhaseResult> &base = outcomes.front().phases;
     for (PolicyOutcome &o : outcomes) {
-        std::vector<double> execRatios;
-        std::vector<double> ddrRatios;
-        for (std::size_t i = 0; i < o.phases.size(); ++i) {
-            const double e = safeRatio(
-                static_cast<double>(o.phases[i].execCycles),
-                static_cast<double>(base[i].execCycles));
-            const double d = safeRatio(
-                static_cast<double>(o.phases[i].ddrAccesses),
-                static_cast<double>(base[i].ddrAccesses));
-            o.execNorm.push_back(e);
-            o.ddrNorm.push_back(d);
-            execRatios.push_back(std::max(e, 1e-9));
-            ddrRatios.push_back(std::max(d, 1e-9));
-        }
-        o.geoExec = geometricMean(execRatios);
-        o.geoDdr = geometricMean(ddrRatios);
+        PhaseNorm n = normalizePhases(o.phases, base);
+        o.geoExec = n.geoExec;
+        o.geoDdr = n.geoDdr;
+        o.execNorm = std::move(n.execNorm);
+        o.ddrNorm = std::move(n.ddrNorm);
     }
 }
 

@@ -98,9 +98,8 @@ struct EvalOptions
  * Runtime perturbations a scenario applies to every SoC it builds:
  * exact (instead of footprint-proportional) DDR attribution, and
  * availability masks disabling coherence modes globally or per
- * accelerator instance. Default-constructed knobs change nothing —
- * the knob-taking entry points below are then bit-identical to the
- * plain ones.
+ * accelerator instance. Default-constructed knobs change nothing;
+ * every entry point below takes them as its defaulted last argument.
  */
 struct RuntimeKnobs
 {
@@ -136,32 +135,23 @@ std::unique_ptr<rt::CoherencePolicy> makePolicyByName(
 /**
  * Train @p policy online: run @p iterations passes of the training
  * app (one iteration = one full app instance), decaying the schedule
- * after each, then freeze. Returns per-iteration training app results
- * (used by the Figure-8 bench).
+ * after each, then freeze. @p knobs apply to every training SoC (the
+ * attribution ablation trains through them). Returns per-iteration
+ * training app results (used by the Figure-8 bench).
  */
 std::vector<AppResult> trainCohmeleon(policy::CohmeleonPolicy &policy,
                                       const soc::SocConfig &cfg,
                                       const AppSpec &trainApp,
-                                      unsigned iterations);
-
-/** trainCohmeleon() with runtime knobs applied to every training SoC
- *  (the attribution ablation trains through this). */
-std::vector<AppResult> trainCohmeleon(policy::CohmeleonPolicy &policy,
-                                      const soc::SocConfig &cfg,
-                                      const AppSpec &trainApp,
                                       unsigned iterations,
-                                      const RuntimeKnobs &knobs);
+                                      const RuntimeKnobs &knobs = {});
 
-/** Run @p policy on @p app on a fresh SoC built from @p cfg. */
+/** Run @p policy on @p app on a fresh SoC built from @p cfg with
+ *  @p knobs applied; @p statsOut, when non-null, receives the SoC's
+ *  full statistics block after the run. */
 AppResult runPolicyOnApp(rt::CoherencePolicy &policy,
                          const soc::SocConfig &cfg, const AppSpec &app,
-                         bool collectRecords = false);
-
-/** runPolicyOnApp() with runtime knobs; @p statsOut, when non-null,
- *  receives the SoC's full statistics block after the run. */
-AppResult runPolicyOnApp(rt::CoherencePolicy &policy,
-                         const soc::SocConfig &cfg, const AppSpec &app,
-                         const RuntimeKnobs &knobs, bool collectRecords,
+                         const RuntimeKnobs &knobs = {},
+                         bool collectRecords = false,
                          std::string *statsOut = nullptr);
 
 /** The protocol's application pair for one SoC configuration. */
@@ -173,31 +163,59 @@ struct ProtocolApps
 
 /**
  * Generate the protocol's (training, evaluation) app pair from the
- * seeds and params in @p opts. The single source of truth for app
- * derivation: the serial and parallel drivers both use it, which is
- * what keeps their results bit-identical.
+ * seeds and params in @p opts: protocolTrainApp() and
+ * protocolEvalApp() on one naming SoC built from @p cfg.
  */
 ProtocolApps makeProtocolApps(const soc::SocConfig &cfg,
                               const EvalOptions &opts);
 
 /**
+ * The protocol's training app: seeded opts.trainSeed, shaped by
+ * opts.trainAppParams (else opts.appParams). Accelerator names come
+ * from @p namingSoc, which generation does not mutate. This and
+ * protocolEvalApp() are the only places the protocol's apps are
+ * derived from seeds.
+ */
+AppSpec protocolTrainApp(const soc::Soc &namingSoc,
+                         const EvalOptions &opts);
+
+/** The protocol's random evaluation app: seeded opts.evalSeed,
+ *  shaped by opts.appParams. */
+AppSpec protocolEvalApp(const soc::Soc &namingSoc,
+                        const EvalOptions &opts);
+
+/**
  * One cell of the protocol: construct the policy named @p name, train
  * it on @p trainApp if it is Cohmeleon, and evaluate it on
- * @p evalApp. Self-contained and free of shared mutable state, so
- * independent cells may run on different threads (the parallel
- * driver's unit of work).
+ * @p evalApp, with @p knobs applied to the training and evaluation
+ * SoCs. Self-contained and free of shared mutable state, so
+ * independent cells may run on different threads.
  */
 std::vector<PhaseResult> runProtocolForPolicy(
     const std::string &name, const soc::SocConfig &cfg,
     const EvalOptions &opts, const AppSpec &trainApp,
-    const AppSpec &evalApp);
+    const AppSpec &evalApp, const RuntimeKnobs &knobs = {});
 
-/** runProtocolForPolicy() with runtime knobs applied to the training
- *  and evaluation SoCs (the campaign runner's protocol-cell unit). */
-std::vector<PhaseResult> runProtocolForPolicy(
-    const std::string &name, const soc::SocConfig &cfg,
-    const EvalOptions &opts, const AppSpec &trainApp,
-    const AppSpec &evalApp, const RuntimeKnobs &knobs);
+/** One run's phases normalized against a baseline run's phases. */
+struct PhaseNorm
+{
+    std::vector<double> execNorm; ///< per phase, vs the baseline
+    std::vector<double> ddrNorm;  ///< per phase, vs the baseline
+    /** Geometric means over phases, each ratio floored at 1e-9. */
+    double geoExec = 1.0;
+    double geoDdr = 1.0;
+};
+
+/**
+ * The protocol's normalization step, the one every figure, campaign
+ * and bench uses: per phase, exec cycles and DDR accesses as a ratio
+ * of the baseline's (a zero baseline gives 1 for a zero value and 2
+ * otherwise), then the geometric mean of each ratio vector with every
+ * ratio floored at 1e-9 so a zero-cost phase cannot zero the mean.
+ * @pre @p phases and @p baseline are non-empty and of equal length.
+ */
+PhaseNorm normalizePhases(const std::vector<PhaseResult> &phases,
+                          const std::vector<PhaseResult> &baseline);
 
 /**
  * Fill in execNorm/ddrNorm/geoExec/geoDdr for every outcome,
@@ -227,9 +245,6 @@ std::vector<PolicyOutcome> evaluatePoliciesOnApp(
 /** Render the outcome table (one row per policy) to @p os. */
 void printOutcomeTable(std::ostream &os,
                        const std::vector<PolicyOutcome> &outcomes);
-
-/** Geometric mean helper that tolerates zero baselines. */
-double safeRatio(double value, double baseline);
 
 /** Paper-density training workload: many threads, loops, and phases,
  *  biased toward the cheap S/M size classes. */

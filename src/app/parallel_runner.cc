@@ -14,60 +14,4 @@ experimentSeed(std::uint64_t base, std::uint64_t index)
     return z ^ (z >> 31);
 }
 
-std::vector<PolicyOutcome>
-evaluatePoliciesParallel(const soc::SocConfig &cfg,
-                         const EvalOptions &opts,
-                         ParallelRunner &runner,
-                         std::vector<std::string> policyNames)
-{
-    if (policyNames.empty())
-        policyNames = standardPolicyNames();
-
-    const ProtocolApps apps = makeProtocolApps(cfg, opts);
-
-    std::vector<PolicyOutcome> outcomes(policyNames.size());
-    runner.forEach(policyNames.size(), [&](std::size_t i) {
-        outcomes[i].policy = policyNames[i];
-        outcomes[i].phases = runProtocolForPolicy(
-            policyNames[i], cfg, opts, apps.train, apps.eval);
-    });
-    normalizeOutcomes(outcomes);
-    return outcomes;
-}
-
-std::vector<std::vector<PolicyOutcome>>
-evaluateSocGridParallel(const std::vector<soc::SocConfig> &cfgs,
-                        const EvalOptions &opts, ParallelRunner &runner,
-                        std::vector<std::string> policyNames)
-{
-    if (policyNames.empty())
-        policyNames = standardPolicyNames();
-
-    // Generate each config's train/eval app pair up front (cheap and
-    // seed-determined), then fan the full (config x policy) grid out
-    // as one flat batch so wide grids saturate narrow pools.
-    std::vector<ProtocolApps> apps;
-    apps.reserve(cfgs.size());
-    for (const soc::SocConfig &cfg : cfgs)
-        apps.push_back(makeProtocolApps(cfg, opts));
-
-    const std::size_t nPolicies = policyNames.size();
-    std::vector<std::vector<PolicyOutcome>> grid(cfgs.size());
-    for (std::vector<PolicyOutcome> &row : grid)
-        row.resize(nPolicies);
-
-    runner.forEach(cfgs.size() * nPolicies, [&](std::size_t job) {
-        const std::size_t c = job / nPolicies;
-        const std::size_t p = job % nPolicies;
-        grid[c][p].policy = policyNames[p];
-        grid[c][p].phases =
-            runProtocolForPolicy(policyNames[p], cfgs[c], opts,
-                                 apps[c].train, apps[c].eval);
-    });
-
-    for (std::vector<PolicyOutcome> &row : grid)
-        normalizeOutcomes(row);
-    return grid;
-}
-
 } // namespace cohmeleon::app

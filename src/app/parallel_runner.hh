@@ -27,7 +27,6 @@
 #include <functional>
 #include <vector>
 
-#include "app/experiment.hh"
 #include "sim/thread_pool.hh"
 
 namespace cohmeleon::app
@@ -74,27 +73,6 @@ class ParallelRunner
   private:
     ThreadPool pool_;
 };
-
-/**
- * Parallel version of evaluatePolicies(): the paper's protocol with
- * the per-policy train+evaluate runs fanned over @p runner. The
- * normalization pass (which needs every policy's phases) runs on the
- * calling thread afterwards, so the returned outcomes are
- * bit-identical to the serial function's.
- */
-std::vector<PolicyOutcome> evaluatePoliciesParallel(
-    const soc::SocConfig &cfg, const EvalOptions &opts,
-    ParallelRunner &runner, std::vector<std::string> policyNames = {});
-
-/**
- * Evaluate every (SoC config x policy) cell of a sweep in one flat
- * fan-out — the Figure-9 workload. Returns one PolicyOutcome vector
- * per input config, each normalized against its own first policy
- * exactly as evaluatePolicies() does.
- */
-std::vector<std::vector<PolicyOutcome>> evaluateSocGridParallel(
-    const std::vector<soc::SocConfig> &cfgs, const EvalOptions &opts,
-    ParallelRunner &runner, std::vector<std::string> policyNames = {});
 
 } // namespace cohmeleon::app
 

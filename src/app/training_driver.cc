@@ -7,13 +7,6 @@ namespace cohmeleon::app
 
 AppResult
 runTrainingIteration(policy::CohmeleonPolicy &policy,
-                     const soc::SocConfig &cfg, const AppSpec &trainApp)
-{
-    return runTrainingIteration(policy, cfg, trainApp, RuntimeKnobs{});
-}
-
-AppResult
-runTrainingIteration(policy::CohmeleonPolicy &policy,
                      const soc::SocConfig &cfg, const AppSpec &trainApp,
                      const RuntimeKnobs &knobs)
 {
@@ -72,16 +65,6 @@ trainShard(const soc::SocConfig &cfg, const TrainingOptions &opts,
 } // namespace
 
 TrainingResult
-TrainingDriver::train(const soc::SocConfig &cfg,
-                      const TrainingOptions &opts)
-{
-    // The single-SoC driver is the one-config transfer: same shard
-    // seeds (global index == shard index), same fold, same rngState
-    // derivation, byte-identical checkpoints.
-    return trainAcrossSocs({cfg}, opts, runner_);
-}
-
-TrainingResult
 trainAcrossSocs(const std::vector<soc::SocConfig> &cfgs,
                 const TrainingOptions &opts, ParallelRunner &runner)
 {
@@ -127,16 +110,6 @@ trainAcrossSocs(const std::vector<soc::SocConfig> &cfgs,
         result.totalInvocations += s.report.invocations;
     }
     return result;
-}
-
-AppResult
-TrainingDriver::evaluate(const policy::PolicyCheckpoint &checkpoint,
-                         const soc::SocConfig &cfg,
-                         const AppSpec &evalApp)
-{
-    const std::unique_ptr<policy::CohmeleonPolicy> policy =
-        checkpoint.makePolicy();
-    return runPolicyOnApp(*policy, cfg, evalApp);
 }
 
 } // namespace cohmeleon::app

@@ -16,9 +16,9 @@
  * training parameter, the thread pool only decides *which thread*
  * runs each shard, every shard is an isolated single-threaded
  * simulation, and the sequential fold order is fixed. Training with
- * --train-jobs 1, 2, or 8 therefore produces byte-identical
- * checkpoints (tests/test_training.cc and test_parallel.cc assert
- * this).
+ * `cohmeleon_run train --jobs` 1, 2, or 8 therefore produces
+ * byte-identical checkpoints (tests/test_training.cc and
+ * tests/test_parallel.cc assert this).
  */
 
 #ifndef COHMELEON_APP_TRAINING_DRIVER_HH
@@ -65,7 +65,7 @@ struct ShardReport
     std::uint64_t qtableVisits = 0; ///< learn() updates applied
 };
 
-/** Outcome of TrainingDriver::train(). */
+/** Outcome of trainAcrossSocs(). */
 struct TrainingResult
 {
     /** The merged model: frozen, schedule complete, with the summed
@@ -76,52 +76,24 @@ struct TrainingResult
 };
 
 /**
- * Train-freeze-evaluate driver over a ParallelRunner. The runner's
- * width controls wall time only, never results.
+ * One training pass: run @p trainApp once on a fresh SoC (with
+ * @p knobs applied) with @p policy learning online, then advance the
+ * decay schedule. The unit both trainCohmeleon() and the Figure-8
+ * bench are built from.
  */
-class TrainingDriver
-{
-  public:
-    explicit TrainingDriver(ParallelRunner &runner) : runner_(runner) {}
-
-    /** Parallel sharded training; returns the merged frozen model. */
-    TrainingResult train(const soc::SocConfig &cfg,
-                         const TrainingOptions &opts);
-
-    /** Evaluation split: restore @p checkpoint into a fresh policy
-     *  and run @p evalApp on a fresh SoC. Pure function of
-     *  (checkpoint, cfg, evalApp). */
-    static AppResult evaluate(const policy::PolicyCheckpoint &checkpoint,
-                              const soc::SocConfig &cfg,
-                              const AppSpec &evalApp);
-
-  private:
-    ParallelRunner &runner_;
-};
-
-/**
- * One training pass: run @p trainApp once on a fresh SoC with
- * @p policy learning online, then advance the decay schedule. The
- * unit both trainCohmeleon() and the Figure-8 bench are built from.
- */
-AppResult runTrainingIteration(policy::CohmeleonPolicy &policy,
-                               const soc::SocConfig &cfg,
-                               const AppSpec &trainApp);
-
-/** runTrainingIteration() with runtime knobs applied to the fresh
- *  SoC (exact attribution, availability masks). */
 AppResult runTrainingIteration(policy::CohmeleonPolicy &policy,
                                const soc::SocConfig &cfg,
                                const AppSpec &trainApp,
-                               const RuntimeKnobs &knobs);
+                               const RuntimeKnobs &knobs = {});
 
 /**
- * Cross-SoC transfer training (the Figure-9-grid ROADMAP item):
- * opts.shards shards are trained on *each* of @p cfgs — shard seeds
- * derived from the global (config-major) shard index, so every shard
- * sees a distinct application and exploration stream — and all
- * cfgs.size() x opts.shards tables fold into one model in global
- * index order. Like TrainingDriver::train(), the result is a pure
+ * Sharded training, the one training driver: opts.shards shards are
+ * trained on *each* of @p cfgs — shard seeds derived from the global
+ * (config-major) shard index, so every shard sees a distinct
+ * application and exploration stream — and all cfgs.size() x
+ * opts.shards tables fold into one frozen model in global index
+ * order. Single-SoC training is the one-config call {cfg}; several
+ * configs make the cross-SoC transfer model. The result is a pure
  * function of (cfgs, opts), never of @p runner's width.
  */
 TrainingResult trainAcrossSocs(const std::vector<soc::SocConfig> &cfgs,

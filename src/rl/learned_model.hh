@@ -2,9 +2,9 @@
  * @file
  * The backend-agnostic learned-model API.
  *
- * PR 3..9 grew a full training/serving stack — sharded TrainingDriver,
- * versioned PolicyCheckpoint, hot-swap serving — all hard-coded to the
- * tabular QTable. This file splits the *model* out of that plumbing:
+ * The training/serving stack — sharded training (trainAcrossSocs),
+ * versioned PolicyCheckpoint, hot-swap serving — was first hard-coded
+ * to the tabular QTable. This file splits the *model* out of that plumbing:
  *
  *  - ModelSpec names a backend ("tabular", "perceptron:tables=8,
  *    bits=12") with the same canonical-text contract as MergeSpec /

@@ -17,8 +17,8 @@
  * function (splitmix64 finalizer over quantized feature scalars), so
  * decisions, updates, shard merges, and the text (de)serialization
  * are platform-independent pure functions of their operands —
- * TrainingDriver folds perceptron shards byte-identically at any job
- * count, exactly like Q-tables.
+ * app::trainAcrossSocs() folds perceptron shards byte-identically at
+ * any job count, exactly like Q-tables.
  */
 
 #ifndef COHMELEON_RL_PERCEPTRON_HH

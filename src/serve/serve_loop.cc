@@ -90,8 +90,7 @@ trainGenerationModel(const ServeSpec &spec, const soc::SocConfig &cfg,
     opts.explore = spec.explore;
     opts.model = spec.model;
     app::ParallelRunner serial(1);
-    app::TrainingDriver driver(serial);
-    return driver.train(cfg, opts).checkpoint.model;
+    return app::trainAcrossSocs({cfg}, opts, serial).checkpoint.model;
 }
 
 } // namespace

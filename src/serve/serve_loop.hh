@@ -16,7 +16,7 @@
  *     record the outcome into the request's pre-sized slot —
  *     completion order never matters.
  *   - One trainer thread produces generations 1..G-1: per generation
- *     a sharded TrainingDriver run (serial, seeds derived from
+ *     a sharded app::trainAcrossSocs() run (serial, seeds derived from
  *     (seed, generation)) folds into the previous model under the
  *     spec's merge strategy, then publish() swaps it into service.
  *   - SIGINT/SIGTERM drain reuses the campaign latch: workers stop

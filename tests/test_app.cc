@@ -320,11 +320,50 @@ TEST(Experiment, MakePolicyByNameCoversAll)
     EXPECT_THROW(makePolicyByName("bogus", cfg, opts), FatalError);
 }
 
-TEST(Experiment, SafeRatioHandlesZeroBaselines)
+namespace
 {
-    EXPECT_DOUBLE_EQ(safeRatio(10.0, 5.0), 2.0);
-    EXPECT_DOUBLE_EQ(safeRatio(0.0, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(safeRatio(3.0, 0.0), 2.0);
+
+PhaseResult
+phaseOf(Cycles exec, std::uint64_t ddr)
+{
+    PhaseResult p;
+    p.execCycles = exec;
+    p.ddrAccesses = ddr;
+    return p;
+}
+
+} // namespace
+
+TEST(Experiment, NormalizePhasesPinsZeroBaselines)
+{
+    // A zero baseline scores 1 for a zero value and 2 for any other.
+    const std::vector<PhaseResult> base = {phaseOf(100, 0),
+                                           phaseOf(200, 0),
+                                           phaseOf(50, 40)};
+    const std::vector<PhaseResult> run = {phaseOf(200, 0),
+                                          phaseOf(100, 7),
+                                          phaseOf(50, 10)};
+    const PhaseNorm n = normalizePhases(run, base);
+    EXPECT_EQ(n.execNorm, (std::vector<double>{2.0, 0.5, 1.0}));
+    EXPECT_EQ(n.ddrNorm, (std::vector<double>{1.0, 2.0, 0.25}));
+    EXPECT_EQ(n.geoExec, 1.0);
+    EXPECT_EQ(n.geoDdr, 0.79370052598409979);
+}
+
+TEST(Experiment, NormalizePhasesFloorsZeroRatios)
+{
+    // A phase that cost nothing against a non-zero baseline has ratio
+    // 0: it is reported as 0 but enters the geomean as 1e-9 instead
+    // of making geometricMean() panic.
+    const std::vector<PhaseResult> base = {phaseOf(10, 10),
+                                           phaseOf(10, 10)};
+    const std::vector<PhaseResult> run = {phaseOf(0, 0),
+                                          phaseOf(10, 40)};
+    const PhaseNorm n = normalizePhases(run, base);
+    EXPECT_EQ(n.execNorm, (std::vector<double>{0.0, 1.0}));
+    EXPECT_EQ(n.ddrNorm, (std::vector<double>{0.0, 4.0}));
+    EXPECT_EQ(n.geoExec, 3.1622776601683802e-05);
+    EXPECT_EQ(n.geoDdr, 6.3245553203367618e-05);
 }
 
 TEST(Experiment, EvaluateComparesPoliciesOnTheSameApps)

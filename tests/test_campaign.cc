@@ -40,6 +40,41 @@ tinyCampaign()
     return c;
 }
 
+/** tinyCampaign() over two SoCs, with the stochastic rand policy. */
+CampaignSpec
+twoSocCampaign()
+{
+    CampaignSpec c = tinyCampaign();
+    c.socs = {"soc1", "soc2"};
+    c.policies = {"fixed-non-coh-dma", "rand", "manual", "cohmeleon"};
+    return c;
+}
+
+/** Bit-identical phases, per-phase norms and geomeans, in order. */
+void
+expectOutcomesIdentical(const std::vector<PolicyOutcome> &expected,
+                        const std::vector<PolicyOutcome> &got)
+{
+    ASSERT_EQ(expected.size(), got.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const PolicyOutcome &e = expected[i];
+        const PolicyOutcome &g = got[i];
+        EXPECT_EQ(e.policy, g.policy);
+        ASSERT_EQ(e.phases.size(), g.phases.size());
+        for (std::size_t ph = 0; ph < e.phases.size(); ++ph) {
+            EXPECT_EQ(e.phases[ph].execCycles, g.phases[ph].execCycles)
+                << e.policy << " phase " << ph;
+            EXPECT_EQ(e.phases[ph].ddrAccesses,
+                      g.phases[ph].ddrAccesses)
+                << e.policy << " phase " << ph;
+        }
+        EXPECT_EQ(e.execNorm, g.execNorm) << e.policy;
+        EXPECT_EQ(e.ddrNorm, g.ddrNorm) << e.policy;
+        EXPECT_EQ(e.geoExec, g.geoExec) << e.policy;
+        EXPECT_EQ(e.geoDdr, g.geoDdr) << e.policy;
+    }
+}
+
 std::string
 diagnosticOf(const std::function<void()> &fn)
 {
@@ -480,16 +515,22 @@ TEST(Campaign, NamedCampaignsAreRegistered)
 
 TEST(Campaign, ResultsAreByteIdenticalAcrossJobCounts)
 {
-    const CampaignSpec c = tinyCampaign();
+    const CampaignSpec c = twoSocCampaign();
     ParallelRunner serial(1);
     ParallelRunner wide(3);
     const CampaignResult a = CampaignRunner(serial).run(c);
     const CampaignResult b = CampaignRunner(wide).run(c);
     EXPECT_EQ(a.json(), b.json());
-    ASSERT_EQ(a.cells.size(), 3u);
-    // The baseline normalizes to exactly 1.
-    EXPECT_DOUBLE_EQ(a.cells[0].geoExec, 1.0);
-    EXPECT_DOUBLE_EQ(a.cells[0].geoDdr, 1.0);
+    ASSERT_EQ(a.cells.size(), 8u);
+    ASSERT_EQ(a.groupCount, 2u);
+    for (std::size_t g = 0; g < a.groupCount; ++g) {
+        const std::vector<PolicyOutcome> outcomes = a.groupOutcomes(g);
+        expectOutcomesIdentical(outcomes, b.groupOutcomes(g));
+        // The baseline normalizes to exactly 1.
+        ASSERT_EQ(outcomes.size(), 4u);
+        EXPECT_DOUBLE_EQ(outcomes[0].geoExec, 1.0);
+        EXPECT_DOUBLE_EQ(outcomes[0].geoDdr, 1.0);
+    }
     for (const CellResult &cell : a.cells) {
         EXPECT_FALSE(cell.phases.empty());
         EXPECT_GT(cell.geoExec, 0.0);
@@ -499,31 +540,23 @@ TEST(Campaign, ResultsAreByteIdenticalAcrossJobCounts)
 TEST(Campaign, MatchesTheSerialProtocolDriver)
 {
     // The campaign path must reproduce evaluatePolicies() bit for
-    // bit: same apps, same policies, same normalization.
-    CampaignSpec c = tinyCampaign();
-    ParallelRunner serial(1);
-    const CampaignResult result = CampaignRunner(serial).run(c);
+    // bit on every SoC: same apps, same policies (the stochastic one
+    // included), same normalization.
+    const CampaignSpec c = twoSocCampaign();
+    ParallelRunner wide(3);
+    const CampaignResult result = CampaignRunner(wide).run(c);
 
     EvalOptions opts;
     opts.trainIterations = c.base.trainIterations;
     opts.appParams = c.base.appParams;
-    const std::vector<PolicyOutcome> expected = evaluatePolicies(
-        soc::makeSocByName(c.base.soc), opts,
-        {"fixed-non-coh-dma", "manual", "cohmeleon"});
-
-    const std::vector<PolicyOutcome> got = result.groupOutcomes(0);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].policy, expected[i].policy);
-        EXPECT_EQ(got[i].geoExec, expected[i].geoExec);
-        EXPECT_EQ(got[i].geoDdr, expected[i].geoDdr);
-        ASSERT_EQ(got[i].phases.size(), expected[i].phases.size());
-        for (std::size_t p = 0; p < got[i].phases.size(); ++p) {
-            EXPECT_EQ(got[i].phases[p].execCycles,
-                      expected[i].phases[p].execCycles);
-            EXPECT_EQ(got[i].phases[p].ddrAccesses,
-                      expected[i].phases[p].ddrAccesses);
-        }
+    ASSERT_EQ(result.groupCount, c.socs.size());
+    for (std::size_t g = 0; g < result.groupCount; ++g) {
+        const std::string &soc =
+            result.cells[result.groupCells(g).front()].scenario.soc;
+        SCOPED_TRACE(soc);
+        expectOutcomesIdentical(
+            evaluatePolicies(soc::makeSocByName(soc), opts, c.policies),
+            result.groupOutcomes(g));
     }
 }
 
@@ -605,10 +638,10 @@ TEST(Campaign, JsonReportCarriesCellsAndMetrics)
     EXPECT_NE(json.find("cell2.q_updates"), std::string::npos);
 }
 
-TEST(Campaign, ShardedCellsMatchTheStandaloneTrainingDriver)
+TEST(Campaign, ShardedCellsMatchTheStandaloneTrainer)
 {
     // A scenario with shards must produce the exact model the
-    // standalone driver produces for the same options.
+    // standalone trainAcrossSocs() produces for the same options.
     ScenarioSpec s;
     s.soc = "soc1";
     s.policy = "cohmeleon";
@@ -629,9 +662,8 @@ TEST(Campaign, ShardedCellsMatchTheStandaloneTrainingDriver)
     topts.shards = 2;
     topts.appParams = s.appParams;
     ParallelRunner serial(1);
-    TrainingDriver driver(serial);
     const TrainingResult expected =
-        driver.train(soc::makeSocByName("soc1"), topts);
+        trainAcrossSocs({soc::makeSocByName("soc1")}, topts, serial);
 
     const policy::PolicyCheckpoint saved =
         policy::PolicyCheckpoint::loadFile(path);
@@ -730,8 +762,8 @@ TEST(Transfer, StrategyAxesTrainOneModelPerPair)
 TEST(Campaign, ShardedCellsThreadTheStrategiesThrough)
 {
     // An in-cell sharded training with non-default strategies must
-    // produce exactly the standalone driver's model for the same
-    // options (and record them in the saved checkpoint).
+    // produce exactly the standalone trainAcrossSocs() model for the
+    // same options (and record them in the saved checkpoint).
     ScenarioSpec s;
     s.soc = "soc1";
     s.policy = "cohmeleon";
@@ -755,9 +787,8 @@ TEST(Campaign, ShardedCellsThreadTheStrategiesThrough)
     topts.explore = s.explore;
     topts.appParams = s.appParams;
     ParallelRunner serial(1);
-    TrainingDriver driver(serial);
     const TrainingResult expected =
-        driver.train(soc::makeSocByName("soc1"), topts);
+        trainAcrossSocs({soc::makeSocByName("soc1")}, topts, serial);
 
     const policy::PolicyCheckpoint saved =
         policy::PolicyCheckpoint::loadFile(path);

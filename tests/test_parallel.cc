@@ -2,8 +2,9 @@
  * @file
  * Tests for the thread pool and the deterministic parallel experiment
  * driver: scheduling correctness, per-experiment seed derivation, and
- * the headline property that a parallel policy sweep is bit-identical
- * to the serial protocol.
+ * the headline property that sharded training is byte-identical at
+ * any thread count. (That a parallel campaign sweep is bit-identical
+ * to the serial protocol is tested in test_campaign.cc.)
  */
 
 #include <gtest/gtest.h>
@@ -114,66 +115,12 @@ TEST(ParallelRunner, DerivedRngStreamsDiffer)
     EXPECT_LT(same, 4);
 }
 
-// ------------------------------------------- parallel == serial protocol
-
-namespace
-{
-
-void
-expectOutcomesIdentical(const std::vector<app::PolicyOutcome> &serial,
-                        const std::vector<app::PolicyOutcome> &parallel)
-{
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        const app::PolicyOutcome &s = serial[i];
-        const app::PolicyOutcome &p = parallel[i];
-        EXPECT_EQ(s.policy, p.policy);
-        ASSERT_EQ(s.phases.size(), p.phases.size());
-        for (std::size_t ph = 0; ph < s.phases.size(); ++ph) {
-            EXPECT_EQ(s.phases[ph].execCycles,
-                      p.phases[ph].execCycles)
-                << s.policy << " phase " << ph;
-            EXPECT_EQ(s.phases[ph].ddrAccesses,
-                      p.phases[ph].ddrAccesses)
-                << s.policy << " phase " << ph;
-        }
-        // Bit-identical inputs must produce bit-identical norms.
-        EXPECT_EQ(s.execNorm, p.execNorm);
-        EXPECT_EQ(s.ddrNorm, p.ddrNorm);
-        EXPECT_EQ(s.geoExec, p.geoExec);
-        EXPECT_EQ(s.geoDdr, p.geoDdr);
-    }
-}
-
-} // namespace
-
-TEST(ParallelRunner, PolicySweepMatchesSerialBitExactly)
-{
-    setQuiet(true);
-    const soc::SocConfig cfg = test::tinySocConfig();
-    app::EvalOptions opts;
-    opts.trainIterations = 2;
-    // A policy subset that covers the baseline, a stochastic policy,
-    // and the trained-agent path, keeping the test fast.
-    const std::vector<std::string> names = {"fixed-non-coh-dma",
-                                            "rand", "cohmeleon"};
-
-    const std::vector<app::PolicyOutcome> serial =
-        app::evaluatePolicies(cfg, opts, names);
-
-    app::ParallelRunner runner(4);
-    const std::vector<app::PolicyOutcome> parallel =
-        app::evaluatePoliciesParallel(cfg, opts, runner, names);
-
-    expectOutcomesIdentical(serial, parallel);
-}
-
 // ------------------------------------------- parallel training driver
 
 TEST(ParallelRunner, TrainingCheckpointInvariantAcrossThreadCounts)
 {
     // The headline property of the training subsystem: the worker
-    // count (COHMELEON_THREADS / --train-jobs) schedules the fixed
+    // count (COHMELEON_THREADS / train --jobs) schedules the fixed
     // shard set but never leaks into the model. 1-thread and
     // 4-thread training must produce byte-identical checkpoints and
     // hence identical greedy policies.
@@ -186,12 +133,12 @@ TEST(ParallelRunner, TrainingCheckpointInvariantAcrossThreadCounts)
     opts.appParams.maxThreads = 3;
 
     app::ParallelRunner serial(1);
-    app::TrainingDriver serialDriver(serial);
-    const app::TrainingResult one = serialDriver.train(cfg, opts);
+    const app::TrainingResult one =
+        app::trainAcrossSocs({cfg}, opts, serial);
 
     app::ParallelRunner wide(4);
-    app::TrainingDriver wideDriver(wide);
-    const app::TrainingResult four = wideDriver.train(cfg, opts);
+    const app::TrainingResult four =
+        app::trainAcrossSocs({cfg}, opts, wide);
 
     EXPECT_EQ(one.checkpoint.serialized(),
               four.checkpoint.serialized());
@@ -210,27 +157,4 @@ TEST(ParallelRunner, TrainingCheckpointInvariantAcrossThreadCounts)
                   four.checkpoint.model.qtable().bestAction(s,
                                                    coh::kAllModesMask))
             << "state " << s;
-}
-
-TEST(ParallelRunner, SocGridMatchesPerSocSweeps)
-{
-    setQuiet(true);
-    const soc::SocConfig tiny = test::tinySocConfig();
-    soc::SocConfig tiny2 = test::tinySocConfig();
-    tiny2.name = "tiny2";
-    tiny2.seed = 43;
-    app::EvalOptions opts;
-    opts.trainIterations = 1;
-    const std::vector<std::string> names = {"fixed-non-coh-dma",
-                                            "fixed-full-coh"};
-
-    app::ParallelRunner runner(3);
-    const auto grid = app::evaluateSocGridParallel(
-        {tiny, tiny2}, opts, runner, names);
-    ASSERT_EQ(grid.size(), 2u);
-
-    expectOutcomesIdentical(app::evaluatePolicies(tiny, opts, names),
-                            grid[0]);
-    expectOutcomesIdentical(app::evaluatePolicies(tiny2, opts, names),
-                            grid[1]);
 }

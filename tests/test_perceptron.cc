@@ -205,7 +205,7 @@ TEST(Perceptron, ShardMergeIsAssociative)
 {
     // The parallel driver left-folds shards in index order; byte-exact
     // associativity of the visit-weighted merge is what makes that
-    // fold independent of how shards were grouped under --train-jobs.
+    // fold independent of how shards were grouped under train --jobs.
     const rl::MergeSpec merge; // visit-weighted average
     const rl::PerceptronModel a = trainedShard(1);
     const rl::PerceptronModel b = trainedShard(2);

@@ -176,8 +176,9 @@ TEST(Checkpoint, RestoredPolicyReproducesEvalDecisionsExactly)
 
     std::stringstream persisted;
     ckpt.save(persisted);
-    const app::AppResult replayed = app::TrainingDriver::evaluate(
-        policy::PolicyCheckpoint::load(persisted), cfg, evalApp);
+    const app::AppResult replayed = app::runPolicyOnApp(
+        *policy::PolicyCheckpoint::load(persisted).makePolicy(), cfg,
+        evalApp);
 
     ASSERT_EQ(direct.phases.size(), replayed.phases.size());
     for (std::size_t i = 0; i < direct.phases.size(); ++i) {

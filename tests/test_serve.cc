@@ -295,7 +295,7 @@ recordViaApp(rt::CoherencePolicy &policy, const soc::SocConfig &cfg,
     spec.name = "req" + std::to_string(req.seq);
     spec.phases.push_back(std::move(phase));
     const app::AppResult run = app::runPolicyOnApp(
-        policy, cfg, spec, /*collectRecords=*/true);
+        policy, cfg, spec, app::RuntimeKnobs{}, /*collectRecords=*/true);
     EXPECT_EQ(run.phases.size(), 1u);
     EXPECT_EQ(run.phases.at(0).invocations.size(), 1u);
     return run.phases.at(0).invocations.at(0);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the training-at-scale subsystem (app::TrainingDriver):
+ * Tests for the training-at-scale subsystem (app::trainAcrossSocs):
  * option validation, shard accounting, deterministic merging, and the
  * train -> freeze -> evaluate split.
  */
@@ -33,41 +33,40 @@ tinyTrainingOptions()
 
 } // namespace
 
-TEST(TrainingDriver, RejectsDegenerateOptions)
+TEST(Training, RejectsDegenerateOptions)
 {
     app::ParallelRunner runner(1);
-    app::TrainingDriver driver(runner);
     const soc::SocConfig cfg = test::tinySocConfig();
     app::TrainingOptions noShards = tinyTrainingOptions();
     noShards.shards = 0;
-    EXPECT_THROW(driver.train(cfg, noShards), FatalError);
+    EXPECT_THROW(app::trainAcrossSocs({cfg}, noShards, runner),
+                 FatalError);
     app::TrainingOptions noIterations = tinyTrainingOptions();
     noIterations.iterations = 0;
-    EXPECT_THROW(driver.train(cfg, noIterations), FatalError);
+    EXPECT_THROW(app::trainAcrossSocs({cfg}, noIterations, runner),
+                 FatalError);
 }
 
-TEST(TrainingDriver, TrainIsDeterministic)
+TEST(Training, TrainIsDeterministic)
 {
     setQuiet(true);
     const soc::SocConfig cfg = test::tinySocConfig();
     app::ParallelRunner runner(2);
-    app::TrainingDriver driver(runner);
     const app::TrainingResult a =
-        driver.train(cfg, tinyTrainingOptions());
+        app::trainAcrossSocs({cfg}, tinyTrainingOptions(), runner);
     const app::TrainingResult b =
-        driver.train(cfg, tinyTrainingOptions());
+        app::trainAcrossSocs({cfg}, tinyTrainingOptions(), runner);
     EXPECT_EQ(a.checkpoint.serialized(), b.checkpoint.serialized());
     EXPECT_EQ(a.totalInvocations, b.totalInvocations);
 }
 
-TEST(TrainingDriver, ShardsTrainOnDistinctSeeds)
+TEST(Training, ShardsTrainOnDistinctSeeds)
 {
     setQuiet(true);
     const soc::SocConfig cfg = test::tinySocConfig();
     app::ParallelRunner runner(2);
-    app::TrainingDriver driver(runner);
     const app::TrainingResult r =
-        driver.train(cfg, tinyTrainingOptions());
+        app::trainAcrossSocs({cfg}, tinyTrainingOptions(), runner);
     ASSERT_EQ(r.shards.size(), 3u);
     std::set<std::uint64_t> seeds;
     std::uint64_t invocations = 0;
@@ -80,14 +79,13 @@ TEST(TrainingDriver, ShardsTrainOnDistinctSeeds)
     EXPECT_EQ(invocations, r.totalInvocations);
 }
 
-TEST(TrainingDriver, MergedVisitsEqualSumOfShardVisits)
+TEST(Training, MergedVisitsEqualSumOfShardVisits)
 {
     setQuiet(true);
     const soc::SocConfig cfg = test::tinySocConfig();
     app::ParallelRunner runner(2);
-    app::TrainingDriver driver(runner);
     const app::TrainingResult r =
-        driver.train(cfg, tinyTrainingOptions());
+        app::trainAcrossSocs({cfg}, tinyTrainingOptions(), runner);
     std::uint64_t shardVisits = 0;
     for (const app::ShardReport &s : r.shards)
         shardVisits += s.qtableVisits;
@@ -95,14 +93,14 @@ TEST(TrainingDriver, MergedVisitsEqualSumOfShardVisits)
     EXPECT_EQ(r.checkpoint.model.totalVisits(), shardVisits);
 }
 
-TEST(TrainingDriver, CheckpointIsFrozenAndScheduleComplete)
+TEST(Training, CheckpointIsFrozenAndScheduleComplete)
 {
     setQuiet(true);
     const soc::SocConfig cfg = test::tinySocConfig();
     const app::TrainingOptions opts = tinyTrainingOptions();
     app::ParallelRunner runner(2);
-    app::TrainingDriver driver(runner);
-    const app::TrainingResult r = driver.train(cfg, opts);
+    const app::TrainingResult r =
+        app::trainAcrossSocs({cfg}, opts, runner);
     EXPECT_TRUE(r.checkpoint.frozen);
     EXPECT_EQ(r.checkpoint.iteration, opts.iterations);
     EXPECT_EQ(r.checkpoint.agent.decayIterations, opts.iterations);
@@ -112,14 +110,13 @@ TEST(TrainingDriver, CheckpointIsFrozenAndScheduleComplete)
     EXPECT_DOUBLE_EQ(policy->agent().alpha(), 0.0);
 }
 
-TEST(TrainingDriver, EvaluateIsAPureFunction)
+TEST(Training, EvaluateIsAPureFunction)
 {
     setQuiet(true);
     const soc::SocConfig cfg = test::tinySocConfig();
     app::ParallelRunner runner(2);
-    app::TrainingDriver driver(runner);
     const app::TrainingResult r =
-        driver.train(cfg, tinyTrainingOptions());
+        app::trainAcrossSocs({cfg}, tinyTrainingOptions(), runner);
 
     soc::Soc naming(cfg);
     app::RandomAppParams ap;
@@ -129,9 +126,11 @@ TEST(TrainingDriver, EvaluateIsAPureFunction)
         app::generateRandomApp(naming, Rng(99), ap);
 
     const app::AppResult a =
-        app::TrainingDriver::evaluate(r.checkpoint, cfg, evalApp);
+        app::runPolicyOnApp(*r.checkpoint.makePolicy(), cfg,
+                            evalApp);
     const app::AppResult b =
-        app::TrainingDriver::evaluate(r.checkpoint, cfg, evalApp);
+        app::runPolicyOnApp(*r.checkpoint.makePolicy(), cfg,
+                            evalApp);
     ASSERT_EQ(a.phases.size(), b.phases.size());
     for (std::size_t i = 0; i < a.phases.size(); ++i) {
         EXPECT_EQ(a.phases[i].execCycles, b.phases[i].execCycles);
@@ -140,14 +139,13 @@ TEST(TrainingDriver, EvaluateIsAPureFunction)
     EXPECT_GT(a.totalExecCycles(), 0u);
 }
 
-TEST(TrainingDriver, EvaluateAfterSaveLoadMatchesDirectEvaluate)
+TEST(Training, EvaluateAfterSaveLoadMatchesDirectEvaluate)
 {
     setQuiet(true);
     const soc::SocConfig cfg = test::tinySocConfig();
     app::ParallelRunner runner(2);
-    app::TrainingDriver driver(runner);
     const app::TrainingResult r =
-        driver.train(cfg, tinyTrainingOptions());
+        app::trainAcrossSocs({cfg}, tinyTrainingOptions(), runner);
 
     soc::Soc naming(cfg);
     app::RandomAppParams ap;
@@ -157,12 +155,14 @@ TEST(TrainingDriver, EvaluateAfterSaveLoadMatchesDirectEvaluate)
         app::generateRandomApp(naming, Rng(99), ap);
 
     const app::AppResult direct =
-        app::TrainingDriver::evaluate(r.checkpoint, cfg, evalApp);
+        app::runPolicyOnApp(*r.checkpoint.makePolicy(), cfg,
+                            evalApp);
 
     std::stringstream persisted;
     r.checkpoint.save(persisted);
-    const app::AppResult replayed = app::TrainingDriver::evaluate(
-        policy::PolicyCheckpoint::load(persisted), cfg, evalApp);
+    const app::AppResult replayed = app::runPolicyOnApp(
+        *policy::PolicyCheckpoint::load(persisted).makePolicy(), cfg,
+        evalApp);
 
     ASSERT_EQ(direct.phases.size(), replayed.phases.size());
     for (std::size_t i = 0; i < direct.phases.size(); ++i) {
@@ -173,14 +173,13 @@ TEST(TrainingDriver, EvaluateAfterSaveLoadMatchesDirectEvaluate)
     }
 }
 
-TEST(TrainingDriver, FrozenEvaluationDoesNotLearn)
+TEST(Training, FrozenEvaluationDoesNotLearn)
 {
     setQuiet(true);
     const soc::SocConfig cfg = test::tinySocConfig();
     app::ParallelRunner runner(2);
-    app::TrainingDriver driver(runner);
     const app::TrainingResult r =
-        driver.train(cfg, tinyTrainingOptions());
+        app::trainAcrossSocs({cfg}, tinyTrainingOptions(), runner);
 
     soc::Soc naming(cfg);
     app::RandomAppParams ap;
@@ -196,7 +195,7 @@ TEST(TrainingDriver, FrozenEvaluationDoesNotLearn)
     EXPECT_EQ(policy->agent().table().totalVisits(), visitsBefore);
 }
 
-TEST(TrainingDriver, StrategiesAreDeterministicAcrossThreadCounts)
+TEST(Training, StrategiesAreDeterministicAcrossThreadCounts)
 {
     // Every (merge, explore) pair keeps the subsystem's headline
     // invariant: the checkpoint is a pure function of the options,
@@ -212,9 +211,9 @@ TEST(TrainingDriver, StrategiesAreDeterministicAcrossThreadCounts)
             opts.merge = rl::mergeSpecFromString(merge);
             opts.explore = rl::exploreSpecFromString(explore);
             const app::TrainingResult a =
-                app::TrainingDriver(serial).train(cfg, opts);
+                app::trainAcrossSocs({cfg}, opts, serial);
             const app::TrainingResult b =
-                app::TrainingDriver(wide).train(cfg, opts);
+                app::trainAcrossSocs({cfg}, opts, wide);
             EXPECT_EQ(a.checkpoint.serialized(),
                       b.checkpoint.serialized())
                 << merge << "/" << explore;
@@ -222,16 +221,16 @@ TEST(TrainingDriver, StrategiesAreDeterministicAcrossThreadCounts)
     }
 }
 
-TEST(TrainingDriver, CheckpointRecordsTheStrategies)
+TEST(Training, CheckpointRecordsTheStrategies)
 {
     setQuiet(true);
     const soc::SocConfig cfg = test::tinySocConfig();
     app::ParallelRunner runner(2);
-    app::TrainingDriver driver(runner);
     app::TrainingOptions opts = tinyTrainingOptions();
     opts.merge = rl::mergeSpecFromString("recency@0.25");
     opts.explore = rl::exploreSpecFromString("floor@0.2");
-    const app::TrainingResult r = driver.train(cfg, opts);
+    const app::TrainingResult r =
+        app::trainAcrossSocs({cfg}, opts, runner);
     EXPECT_EQ(r.checkpoint.merge, opts.merge);
     EXPECT_EQ(r.checkpoint.agent.explore, opts.explore);
     // ...losslessly through the text format.
@@ -243,7 +242,7 @@ TEST(TrainingDriver, CheckpointRecordsTheStrategies)
     EXPECT_EQ(restored.agent.explore, opts.explore);
 }
 
-TEST(TrainingDriver, MergeStrategiesShareVisitsButNotValues)
+TEST(Training, MergeStrategiesShareVisitsButNotValues)
 {
     // Different folds of the same shard tables: identical training
     // mass (visits always sum exactly), different Q-values. Uses a
@@ -252,14 +251,15 @@ TEST(TrainingDriver, MergeStrategiesShareVisitsButNotValues)
     setQuiet(true);
     const soc::SocConfig cfg = test::tinySocConfig();
     app::ParallelRunner runner(2);
-    app::TrainingDriver driver(runner);
     app::TrainingOptions opts = tinyTrainingOptions();
     opts.shards = 4;
     opts.iterations = 6;
     app::TrainingOptions recency = opts;
     recency.merge = rl::mergeSpecFromString("recency@0.5");
-    const app::TrainingResult vw = driver.train(cfg, opts);
-    const app::TrainingResult rc = driver.train(cfg, recency);
+    const app::TrainingResult vw =
+        app::trainAcrossSocs({cfg}, opts, runner);
+    const app::TrainingResult rc =
+        app::trainAcrossSocs({cfg}, recency, runner);
     EXPECT_EQ(vw.checkpoint.model.totalVisits(),
               rc.checkpoint.model.totalVisits());
     EXPECT_EQ(vw.checkpoint.model.updatedEntries(),
@@ -273,33 +273,35 @@ TEST(TrainingDriver, MergeStrategiesShareVisitsButNotValues)
     EXPECT_TRUE(anyDiff);
 }
 
-TEST(TrainingDriver, RejectsInvalidStrategies)
+TEST(Training, RejectsInvalidStrategies)
 {
     app::ParallelRunner runner(1);
-    app::TrainingDriver driver(runner);
     const soc::SocConfig cfg = test::tinySocConfig();
     app::TrainingOptions bad = tinyTrainingOptions();
     bad.merge.kind = rl::MergeSpec::Kind::kRecency;
     bad.merge.recencyDiscount = 0.0;
-    EXPECT_THROW(driver.train(cfg, bad), FatalError);
+    EXPECT_THROW(app::trainAcrossSocs({cfg}, bad, runner),
+                 FatalError);
     app::TrainingOptions badExplore = tinyTrainingOptions();
     badExplore.explore.kind = rl::ExploreSpec::Kind::kVisitCount;
     badExplore.explore.visitScale = -1.0;
-    EXPECT_THROW(driver.train(cfg, badExplore), FatalError);
+    EXPECT_THROW(app::trainAcrossSocs({cfg}, badExplore, runner),
+                 FatalError);
 }
 
-TEST(TrainingDriver, MoreShardsMeanMoreCoverage)
+TEST(Training, MoreShardsMeanMoreCoverage)
 {
     setQuiet(true);
     const soc::SocConfig cfg = test::tinySocConfig();
     app::ParallelRunner runner(2);
-    app::TrainingDriver driver(runner);
     app::TrainingOptions one = tinyTrainingOptions();
     one.shards = 1;
     app::TrainingOptions many = tinyTrainingOptions();
     many.shards = 4;
-    const app::TrainingResult rOne = driver.train(cfg, one);
-    const app::TrainingResult rMany = driver.train(cfg, many);
+    const app::TrainingResult rOne =
+        app::trainAcrossSocs({cfg}, one, runner);
+    const app::TrainingResult rMany =
+        app::trainAcrossSocs({cfg}, many, runner);
     EXPECT_GT(rMany.totalInvocations, rOne.totalInvocations);
     EXPECT_GE(rMany.checkpoint.model.updatedEntries(),
               rOne.checkpoint.model.updatedEntries());

@@ -473,15 +473,10 @@ cmdTrain(Args &args)
                 cfgs.size(), topts.shards, topts.iterations,
                 runner.threads());
     const WallTimer timer;
-    app::TrainingResult tres;
-    if (cfgs.size() == 1) {
-        app::TrainingDriver driver(runner);
-        tres = driver.train(cfgs.front(), topts);
-    } else {
-        // Cross-SoC transfer: shards per SoC, one visit-weighted
-        // merge in global shard order.
-        tres = app::trainAcrossSocs(cfgs, topts, runner);
-    }
+    // Several SoCs make a cross-SoC transfer model: shards per SoC,
+    // one merge in global shard order.
+    const app::TrainingResult tres =
+        app::trainAcrossSocs(cfgs, topts, runner);
     tres.checkpoint.saveFile(s.saveModel);
     std::printf("trained on %llu invocations in %.2fs (%llu "
                 "q-updates, %llu/%llu entries covered, %s model)\n",
