@@ -9,10 +9,8 @@
 
 #include <cstdio>
 
-#include "app/experiment.hh"
-#include "app/scenario.hh"
+#include "app/campaign_runner.hh"
 #include "bench_util.hh"
-#include "soc/soc_presets.hh"
 
 using namespace cohmeleon;
 using namespace cohmeleon::bench;
@@ -25,17 +23,24 @@ main()
            "4 phases x 8 policies, normalized exec time + off-chip "
            "accesses");
 
-    app::EvalOptions opts;
-    opts.trainAppParams = app::denseTrainingParams();
-    opts.trainIterations = fullScale() ? 20 : 12;
-    opts.appParams = app::denseTrainingParams();
+    // The four named phases are the registered figure app "fig5";
+    // Cohmeleon still trains on a dense random instance.
+    app::CampaignSpec campaign;
+    campaign.name = "fig5";
+    campaign.base.name = "fig5";
+    campaign.base.soc = "soc0";
+    campaign.base.appSource = app::AppSource::kFigure;
+    campaign.base.figureName = "fig5";
+    campaign.base.trainApp = app::TrainAppShape::kDense;
+    campaign.base.trainIterations = fullScale() ? 20 : 12;
+    campaign.policies = app::standardPolicyNames();
+    campaign.baseline = "fixed-non-coh-dma";
 
-    // The four named phases live in the scenario layer now, where
-    // campaigns select them with `app = fig5`.
-    const auto outcomes = app::evaluatePoliciesOnApp(
-        soc::makeSoc0(), opts, app::figureApp("fig5"));
+    app::ParallelRunner runner;
+    const app::CampaignResult result =
+        app::CampaignRunner(runner).run(campaign);
 
-    const auto &phases = outcomes.front().phases;
+    const auto &phases = result.cells.front().phases;
     std::printf("%-20s", "policy");
     for (const auto &p : phases)
         std::printf(" | %11s", p.name.c_str());
@@ -44,10 +49,10 @@ main()
         std::printf(" | %5s %5s", "exec", "ddr");
     std::printf("\n");
 
-    for (const auto &o : outcomes) {
-        std::printf("%-20s", o.policy.c_str());
-        for (std::size_t i = 0; i < o.phases.size(); ++i)
-            std::printf(" | %5.2f %5.2f", o.execNorm[i], o.ddrNorm[i]);
+    for (const app::CellResult &c : result.cells) {
+        std::printf("%-20s", c.scenario.policy.c_str());
+        for (std::size_t i = 0; i < c.phases.size(); ++i)
+            std::printf(" | %5.2f %5.2f", c.execNorm[i], c.ddrNorm[i]);
         std::printf("\n");
     }
 

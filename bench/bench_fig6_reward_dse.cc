@@ -10,9 +10,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "app/experiment.hh"
+#include "app/campaign_runner.hh"
 #include "bench_util.hh"
-#include "soc/soc_presets.hh"
 
 using namespace cohmeleon;
 using namespace cohmeleon::bench;
@@ -27,11 +26,16 @@ main()
 
     // Quick scale runs the sweep on SoC1 (SoC0 at full scale, as in
     // the paper) with the richer training protocol of Figure 5/7.
-    const soc::SocConfig cfg =
-        fullScale() ? soc::makeSoc0() : soc::makeSoc1();
-    app::EvalOptions opts;
-    opts.trainIterations = fullScale() ? 50 : 10;
-    opts.appParams = app::denseTrainingParams();
+    app::CampaignSpec campaign;
+    campaign.name = "fig6";
+    campaign.base.name = "fig6";
+    campaign.base.soc = fullScale() ? "soc0" : "soc1";
+    campaign.base.trainIterations = fullScale() ? 50 : 10;
+    campaign.base.appParams = app::denseTrainingParams();
+    campaign.policies = {"fixed-non-coh-dma", "fixed-llc-coh-dma",
+                         "fixed-coh-dma",     "fixed-full-coh",
+                         "rand",              "manual"};
+    campaign.baseline = "fixed-non-coh-dma";
 
     // The 15 weightings: the paper's two called-out Pareto points,
     // the default, corners, and spreads (x=exec, y=comm, z=mem).
@@ -48,32 +52,45 @@ main()
         {0.9, 0.05, 0.05},
     };
 
-    // Baselines first (shared across the sweep).
-    const auto baselines = app::evaluatePolicies(
-        cfg, opts,
-        {"fixed-non-coh-dma", "fixed-llc-coh-dma", "fixed-coh-dma",
-         "fixed-full-coh", "rand", "manual"});
+    // Baselines first; their non-coherent cell normalizes the sweep.
+    app::ParallelRunner runner;
+    const app::CampaignResult result =
+        app::CampaignRunner(runner).run(campaign);
     std::printf("%-34s %10s %10s\n", "policy / reward (x,y,z)",
                 "exec", "ddr");
-    for (const auto &o : baselines)
-        std::printf("%-34s %10.3f %10.3f\n", o.policy.c_str(),
-                    o.geoExec, o.geoDdr);
+    for (const app::CellResult &c : result.cells)
+        std::printf("%-34s %10.3f %10.3f\n", c.scenario.policy.c_str(),
+                    c.geoExec, c.geoDdr);
 
     // Now the Cohmeleon sweep: each weighting trains its own,
-    // independently seeded model (as the paper's 15 models were).
-    unsigned modelIdx = 0;
-    for (const rl::RewardWeights &w : weightings) {
-        app::EvalOptions swept = opts;
-        swept.weights = w;
-        swept.agentSeed = 7 + 13 * modelIdx++;
-        const auto outcome = app::evaluatePolicies(
-            cfg, swept, {"fixed-non-coh-dma", "cohmeleon"});
+    // independently seeded model (as the paper's 15 models were) on
+    // the campaign cells' protocol apps. A ScenarioSpec carries no
+    // reward weights, so these run as bare protocol steps.
+    const soc::SocConfig cfg = app::resolveSoc(campaign.base);
+    app::EvalOptions opts;
+    opts.trainIterations = campaign.base.trainIterations;
+    opts.appParams = campaign.base.appParams;
+    const app::ProtocolApps apps = app::makeProtocolApps(cfg, opts);
+    const std::vector<app::PhaseResult> &nonCoh =
+        result.cells.front().phases;
+    const std::vector<app::PhaseNorm> sweep = runner.map<app::PhaseNorm>(
+        weightings.size(), [&](std::size_t i) {
+            app::EvalOptions swept = opts;
+            swept.weights = weightings[i];
+            swept.agentSeed = 7 + 13 * i;
+            return app::normalizePhases(
+                app::runProtocolForPolicy("cohmeleon", cfg, swept,
+                                          apps.train, apps.eval),
+                nonCoh);
+        });
+    for (std::size_t i = 0; i < weightings.size(); ++i) {
+        const rl::RewardWeights &w = weightings[i];
         char label[64];
         std::snprintf(label, sizeof(label),
                       "cohmeleon (%.1f%%, %.1f%%, %.1f%%)",
                       100 * w.exec, 100 * w.comm, 100 * w.mem);
-        std::printf("%-34s %10.3f %10.3f\n", label,
-                    outcome[1].geoExec, outcome[1].geoDdr);
+        std::printf("%-34s %10.3f %10.3f\n", label, sweep[i].geoExec,
+                    sweep[i].geoDdr);
     }
 
     std::printf("\nexpected shape (paper): the cohmeleon points"

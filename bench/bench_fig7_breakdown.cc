@@ -9,9 +9,8 @@
 #include <cstdio>
 #include <map>
 
-#include "app/experiment.hh"
+#include "app/campaign_runner.hh"
 #include "bench_util.hh"
-#include "soc/soc_presets.hh"
 
 using namespace cohmeleon;
 using namespace cohmeleon::bench;
@@ -49,23 +48,31 @@ main()
            "selection frequency per mode, total and per workload-size "
            "class, cohmeleon vs manual");
 
-    const soc::SocConfig cfg = soc::makeSoc0();
-    app::EvalOptions opts;
-    opts.trainIterations = fullScale() ? 20 : 10;
-    opts.appParams = app::denseTrainingParams();
-    opts.collectRecords = true;
+    app::CampaignSpec campaign;
+    campaign.name = "fig7";
+    campaign.base.name = "fig7";
+    campaign.base.soc = "soc0";
+    campaign.base.appParams = app::denseTrainingParams();
+    campaign.base.trainIterations = fullScale() ? 20 : 10;
+    campaign.base.collectRecords = true;
+    campaign.policies = {"fixed-non-coh-dma", "manual", "cohmeleon"};
+    campaign.baseline = "fixed-non-coh-dma";
+    const soc::SocConfig cfg = app::resolveSoc(campaign.base);
 
-    const auto outcomes = app::evaluatePolicies(
-        cfg, opts, {"fixed-non-coh-dma", "manual", "cohmeleon"});
+    app::ParallelRunner runner;
+    const app::CampaignResult result =
+        app::CampaignRunner(runner).run(campaign);
 
     std::printf("%-16s %11s %11s %11s %11s\n", "policy (size)",
                 "non-coh", "llc-coh", "coh-dma", "full-coh");
 
-    for (std::size_t p = 1; p < outcomes.size(); ++p) {
-        const auto &o = outcomes[p];
+    // Every cell after the non-coherent baseline.
+    for (std::size_t p = 1; p < result.cells.size(); ++p) {
+        const app::CellResult &c = result.cells[p];
+        const char *policy = c.scenario.policy.c_str();
         Breakdown total{};
         std::map<app::SizeClass, Breakdown> byClass;
-        for (const auto &phase : o.phases) {
+        for (const auto &phase : c.phases) {
             for (const auto &rec : phase.invocations) {
                 const unsigned m = static_cast<unsigned>(rec.mode);
                 ++total[m];
@@ -73,11 +80,11 @@ main()
                                                  cfg)][m];
             }
         }
-        printRow(o.policy.c_str(), total);
+        printRow(policy, total);
         for (const auto &[cls, b] : byClass) {
             char label[32];
-            std::snprintf(label, sizeof(label), "  %s (%s)",
-                          o.policy.c_str(), toString(cls));
+            std::snprintf(label, sizeof(label), "  %s (%s)", policy,
+                          toString(cls));
             printRow(label, b);
         }
         std::printf("\n");

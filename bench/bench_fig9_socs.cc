@@ -64,26 +64,27 @@ main()
                     static_cast<unsigned long long>(cfg.l2Bytes /
                                                     1024));
 
-        const std::vector<app::PolicyOutcome> outcomes =
-            result.groupOutcomes(s);
+        const std::vector<std::size_t> group = result.groupCells(s);
         std::printf("%-20s %10s %10s\n", "policy", "exec", "ddr");
         double cohmExec = 1.0;
         double cohmDdr = 1.0;
-        for (const auto &o : outcomes) {
-            std::printf("%-20s %10.3f %10.3f\n", o.policy.c_str(),
-                        o.geoExec, o.geoDdr);
-            if (o.policy == "cohmeleon") {
-                cohmExec = o.geoExec;
-                cohmDdr = o.geoDdr;
+        for (std::size_t i : group) {
+            const app::CellResult &c = result.cells[i];
+            std::printf("%-20s %10.3f %10.3f\n",
+                        c.scenario.policy.c_str(), c.geoExec, c.geoDdr);
+            if (c.scenario.policy == "cohmeleon") {
+                cohmExec = c.geoExec;
+                cohmDdr = c.geoDdr;
             }
         }
         // Headline comparison vs the five fixed policies (the four
         // homogeneous ones and fixed-hetero), as in the paper.
-        for (const auto &o : outcomes) {
-            if (o.policy.rfind("fixed-", 0) != 0)
+        for (std::size_t i : group) {
+            const app::CellResult &c = result.cells[i];
+            if (c.scenario.policy.rfind("fixed-", 0) != 0)
                 continue;
-            speedupSum += o.geoExec / cohmExec - 1.0;
-            ddrReductionSum += 1.0 - cohmDdr / std::max(o.geoDdr,
+            speedupSum += c.geoExec / cohmExec - 1.0;
+            ddrReductionSum += 1.0 - cohmDdr / std::max(c.geoDdr,
                                                         1e-9);
             ++comparisons;
         }

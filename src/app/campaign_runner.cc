@@ -4,8 +4,10 @@
 #include <chrono>
 #include <fstream>
 #include <functional>
+#include <iomanip>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <thread>
 
@@ -691,12 +693,6 @@ CampaignRunner::expand(const CampaignSpec &spec)
 }
 
 CampaignResult
-CampaignRunner::run(const CampaignSpec &spec)
-{
-    return run(spec, CampaignRunOptions{});
-}
-
-CampaignResult
 CampaignRunner::run(const CampaignSpec &spec,
                     const CampaignRunOptions &opts)
 {
@@ -842,24 +838,6 @@ CampaignResult::groupCells(std::size_t group) const
     return idx;
 }
 
-std::vector<PolicyOutcome>
-CampaignResult::groupOutcomes(std::size_t group) const
-{
-    std::vector<PolicyOutcome> outcomes;
-    for (std::size_t i : groupCells(group)) {
-        const CellResult &c = cells[i];
-        PolicyOutcome o;
-        o.policy = c.scenario.policy;
-        o.phases = c.phases;
-        o.execNorm = c.execNorm;
-        o.ddrNorm = c.ddrNorm;
-        o.geoExec = c.geoExec;
-        o.geoDdr = c.geoDdr;
-        outcomes.push_back(std::move(o));
-    }
-    return outcomes;
-}
-
 const CellResult *
 CampaignResult::find(const std::string &cellName) const
 {
@@ -955,6 +933,22 @@ CampaignResult::json() const
     JsonReporter rep(name);
     report(rep);
     return rep.str();
+}
+
+void
+printOutcomeTable(std::ostream &os, const CampaignResult &result,
+                  std::size_t group)
+{
+    os << std::left << std::setw(20) << "policy" << std::right
+       << std::setw(12) << "exec(norm)" << std::setw(12)
+       << "ddr(norm)" << '\n';
+    for (std::size_t i : result.groupCells(group)) {
+        const CellResult &c = result.cells[i];
+        os << std::left << std::setw(20) << c.scenario.policy
+           << std::right << std::fixed << std::setprecision(3)
+           << std::setw(12) << c.geoExec << std::setw(12) << c.geoDdr
+           << '\n';
+    }
 }
 
 } // namespace cohmeleon::app

@@ -14,15 +14,20 @@
  * fixed — so a campaign's results, including the rendered JSON, are
  * byte-identical for any --jobs value (tests assert this).
  *
- * The figure benches (fig3/fig9/ablation) are thin wrappers over
- * campaigns registered in namedCampaign(); their tables print from
- * CellResults with the pre-refactor bytes.
+ * CampaignRunner is the one driver of the paper's protocol: every
+ * policy sweep — campaigns, `cohmeleon_run compare`, the benchmark
+ * sweeps and the figure benches — runs through it and reports
+ * CellResults. The fig3/fig9/ablation benches wrap campaigns
+ * registered in namedCampaign(); fig5/fig6/fig7 build their
+ * CampaignSpec inline. (fig6's reward-weight sweep calls the
+ * protocol steps directly: a ScenarioSpec has no reward weights.)
  */
 
 #ifndef COHMELEON_APP_CAMPAIGN_RUNNER_HH
 #define COHMELEON_APP_CAMPAIGN_RUNNER_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -105,10 +110,6 @@ struct CampaignResult
     /** Indices of @p group's cells, in expansion order. */
     std::vector<std::size_t> groupCells(std::size_t group) const;
 
-    /** Adapt @p group's protocol cells to the PolicyOutcome shape the
-     *  table printers consume. */
-    std::vector<PolicyOutcome> groupOutcomes(std::size_t group) const;
-
     /** First cell whose scenario is named @p cellName (nullptr when
      *  absent). */
     const CellResult *find(const std::string &cellName) const;
@@ -158,26 +159,29 @@ class CampaignRunner
      */
     static std::vector<ScenarioSpec> expand(const CampaignSpec &spec);
 
-    /** Run the whole campaign (transfer stage, cells, normalization).
-     *  @throws FatalError on invalid specs */
-    CampaignResult run(const CampaignSpec &spec);
-
     /**
-     * run() with an execution harness: stream results into a state
-     * directory, resume a prior run from its manifest, contain and
-     * retry throwing cells, inject scripted faults. Throwing cells
-     * become CellResult failure entries (check failureCount());
+     * Run the whole campaign (transfer stage, cells, normalization).
+     * @p opts adds an execution harness: stream results into a state
+     * directory, resume a prior run from its manifest. Throwing cells
+     * are retried per the spec's max-retries, then become CellResult
+     * failure entries (check failureCount()).
      * @throws CampaignInterrupted when SIGINT/SIGTERM stopped the
      * sweep with cells unrun (the manifest is flushed first), and
      * FatalError on invalid specs, a state dir that fails
      * validation, or a fault plan that can never fire in this run.
      */
     CampaignResult run(const CampaignSpec &spec,
-                       const CampaignRunOptions &opts);
+                       const CampaignRunOptions &opts = {});
 
   private:
     ParallelRunner &runner_;
 };
+
+/** Render @p group's protocol cells as the outcome table (one row
+ *  per cell: policy, geomean exec and DDR vs the group baseline) —
+ *  the table `cohmeleon_run compare` and `campaign` print. */
+void printOutcomeTable(std::ostream &os, const CampaignResult &result,
+                       std::size_t group);
 
 /**
  * Execute one scenario cell in isolation — the CLI `run`

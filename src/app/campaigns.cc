@@ -40,7 +40,9 @@ fig3Campaign(bool fullScale)
 }
 
 /** Figure 9 + Table 4: the eight SoC configurations under the eight
- *  policies, normalized per SoC to fixed non-coherent DMA. */
+ *  policies, normalized per SoC to fixed non-coherent DMA. It has one
+ *  scale: namedCampaign() does not pass fullScale here, so --full and
+ *  COHMELEON_BENCH_FULL=1 leave the fig9 sweep unchanged. */
 CampaignSpec
 fig9Campaign()
 {

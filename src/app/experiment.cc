@@ -1,7 +1,5 @@
 #include "app/experiment.hh"
 
-#include <iomanip>
-#include <ostream>
 #include <sstream>
 
 #include "app/config_parser.hh"
@@ -209,40 +207,6 @@ makeProtocolApps(const soc::SocConfig &cfg, const EvalOptions &opts)
             protocolEvalApp(namingSoc, opts)};
 }
 
-namespace
-{
-
-std::vector<PolicyOutcome>
-evaluateOnApps(const soc::SocConfig &cfg, const EvalOptions &opts,
-               const AppSpec &trainApp, const AppSpec &evalApp,
-               std::vector<std::string> policyNames)
-{
-    if (policyNames.empty())
-        policyNames = standardPolicyNames();
-
-    std::vector<PolicyOutcome> outcomes;
-    for (const std::string &name : policyNames) {
-        PolicyOutcome outcome;
-        outcome.policy = name;
-        outcome.phases =
-            runProtocolForPolicy(name, cfg, opts, trainApp, evalApp);
-        outcomes.push_back(std::move(outcome));
-    }
-    normalizeOutcomes(outcomes);
-    return outcomes;
-}
-
-} // namespace
-
-std::vector<PolicyOutcome>
-evaluatePolicies(const soc::SocConfig &cfg, const EvalOptions &opts,
-                 std::vector<std::string> policyNames)
-{
-    const ProtocolApps apps = makeProtocolApps(cfg, opts);
-    return evaluateOnApps(cfg, opts, apps.train, apps.eval,
-                          std::move(policyNames));
-}
-
 std::vector<PhaseResult>
 runProtocolForPolicy(const std::string &name, const soc::SocConfig &cfg,
                      const EvalOptions &opts, const AppSpec &trainApp,
@@ -259,16 +223,6 @@ runProtocolForPolicy(const std::string &name, const soc::SocConfig &cfg,
     return runPolicyOnApp(*policy, cfg, evalApp, knobs,
                           opts.collectRecords)
         .phases;
-}
-
-std::vector<PolicyOutcome>
-evaluatePoliciesOnApp(const soc::SocConfig &cfg, const EvalOptions &opts,
-                      const AppSpec &evalApp,
-                      std::vector<std::string> policyNames)
-{
-    soc::Soc namingSoc(cfg);
-    return evaluateOnApps(cfg, opts, protocolTrainApp(namingSoc, opts),
-                          evalApp, std::move(policyNames));
 }
 
 namespace
@@ -309,34 +263,6 @@ normalizePhases(const std::vector<PhaseResult> &phases,
     n.geoExec = geometricMean(execRatios);
     n.geoDdr = geometricMean(ddrRatios);
     return n;
-}
-
-void
-normalizeOutcomes(std::vector<PolicyOutcome> &outcomes)
-{
-    // Normalize against the first policy (the figures' baseline).
-    const std::vector<PhaseResult> &base = outcomes.front().phases;
-    for (PolicyOutcome &o : outcomes) {
-        PhaseNorm n = normalizePhases(o.phases, base);
-        o.geoExec = n.geoExec;
-        o.geoDdr = n.geoDdr;
-        o.execNorm = std::move(n.execNorm);
-        o.ddrNorm = std::move(n.ddrNorm);
-    }
-}
-
-void
-printOutcomeTable(std::ostream &os,
-                  const std::vector<PolicyOutcome> &outcomes)
-{
-    os << std::left << std::setw(20) << "policy" << std::right
-       << std::setw(12) << "exec(norm)" << std::setw(12)
-       << "ddr(norm)" << '\n';
-    for (const PolicyOutcome &o : outcomes) {
-        os << std::left << std::setw(20) << o.policy << std::right
-           << std::fixed << std::setprecision(3) << std::setw(12)
-           << o.geoExec << std::setw(12) << o.geoDdr << '\n';
-    }
 }
 
 } // namespace cohmeleon::app

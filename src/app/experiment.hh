@@ -1,17 +1,22 @@
 /**
  * @file
- * The paper's experimental protocol (Section 5), packaged for the
- * benchmark binaries:
+ * The steps of the paper's experimental protocol (Section 5), one
+ * function each:
  *
  *  - build one of the eight compared policies by name (four fixed
  *    homogeneous, random, fixed-heterogeneous-by-profiling, the
- *    manually-tuned Algorithm 1, and Cohmeleon);
+ *    manually-tuned Algorithm 1, and Cohmeleon): makePolicyByName();
  *  - train Cohmeleon online on a randomly configured application
- *    instance for N iterations with linearly decaying epsilon/alpha;
- *  - freeze the model and evaluate every policy on a *different*
- *    random application instance on an identically initialized SoC;
+ *    instance for N iterations with linearly decaying epsilon/alpha:
+ *    trainCohmeleon();
+ *  - freeze the model and evaluate the policy on a *different*
+ *    random application instance on an identically initialized SoC:
+ *    runProtocolForPolicy() on the makeProtocolApps() pair;
  *  - normalize each phase against the fixed non-coherent-DMA policy
- *    and report geometric means, as the figures do.
+ *    and report geometric means, as the figures do: normalizePhases().
+ *
+ * CampaignRunner (app/campaign_runner.hh) is the one driver that
+ * sweeps these steps over policies, SoCs and seeds.
  */
 
 #ifndef COHMELEON_APP_EXPERIMENT_HH
@@ -59,19 +64,6 @@ struct ParsedPolicy
  *  valid as the unparameterized aliases they always were.
  *  @throws FatalError listing the known forms on any rejection */
 ParsedPolicy parsePolicyName(const std::string &name);
-
-/** Result of evaluating one policy on the evaluation app. */
-struct PolicyOutcome
-{
-    std::string policy;
-    std::vector<PhaseResult> phases;
-    /** Per-phase metrics normalized to fixed-non-coh-dma. */
-    std::vector<double> execNorm;
-    std::vector<double> ddrNorm;
-    /** Geometric means over phases. */
-    double geoExec = 1.0;
-    double geoDdr = 1.0;
-};
 
 /** Protocol knobs. */
 struct EvalOptions
@@ -123,10 +115,10 @@ struct RuntimeKnobs
 /**
  * Construct a policy by figure name. For "fixed-hetero" the profiling
  * pass runs on a throwaway copy of @p cfg; for "cohmeleon" an
- * untrained policy is returned (training is the caller's business or
- * see evaluatePolicies()). "manual@SIZE" (e.g. "manual@16K") selects
- * the Algorithm-1 heuristic with an explicit EXTRA_SMALL_THRESHOLD —
- * the ablation's sensitivity knob.
+ * untrained policy is returned (training is the caller's business;
+ * runProtocolForPolicy() trains it). "manual@SIZE" (e.g.
+ * "manual@16K") selects the Algorithm-1 heuristic with an explicit
+ * EXTRA_SMALL_THRESHOLD — the ablation's sensitivity knob.
  */
 std::unique_ptr<rt::CoherencePolicy> makePolicyByName(
     const std::string &name, const soc::SocConfig &cfg,
@@ -216,35 +208,6 @@ struct PhaseNorm
  */
 PhaseNorm normalizePhases(const std::vector<PhaseResult> &phases,
                           const std::vector<PhaseResult> &baseline);
-
-/**
- * Fill in execNorm/ddrNorm/geoExec/geoDdr for every outcome,
- * normalizing against the first entry (the figures' baseline).
- * @pre every outcome's phases are populated.
- */
-void normalizeOutcomes(std::vector<PolicyOutcome> &outcomes);
-
-/**
- * Full protocol over @p policyNames (default: the standard eight).
- * The first entry must be the normalization baseline
- * ("fixed-non-coh-dma" in the standard list).
- */
-std::vector<PolicyOutcome> evaluatePolicies(
-    const soc::SocConfig &cfg, const EvalOptions &opts,
-    std::vector<std::string> policyNames = {});
-
-/**
- * Same protocol but with an explicit evaluation application (e.g. the
- * four named phases of Figure 5); Cohmeleon still trains on a random
- * instance per the paper's methodology.
- */
-std::vector<PolicyOutcome> evaluatePoliciesOnApp(
-    const soc::SocConfig &cfg, const EvalOptions &opts,
-    const AppSpec &evalApp, std::vector<std::string> policyNames = {});
-
-/** Render the outcome table (one row per policy) to @p os. */
-void printOutcomeTable(std::ostream &os,
-                       const std::vector<PolicyOutcome> &outcomes);
 
 /** Paper-density training workload: many threads, loops, and phases,
  *  biased toward the cheap S/M size classes. */

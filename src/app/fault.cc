@@ -2,6 +2,7 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <utility>
 
 namespace cohmeleon::app
 {
@@ -12,6 +13,13 @@ namespace
 constexpr const char *kKnownForms =
     "none, crash-before-write@N, crash-after-write@N, "
     "sigint-after-write@N, fail@SLOT:K";
+
+/** The write-ordinal forms, PREFIX@N. */
+constexpr std::pair<const char *, FaultPlan::Kind> kWriteFaults[] = {
+    {"crash-before-write@", FaultPlan::Kind::kCrashBeforeWrite},
+    {"crash-after-write@", FaultPlan::Kind::kCrashAfterWrite},
+    {"sigint-after-write@", FaultPlan::Kind::kSigintAfterWrite},
+};
 
 /** Strict non-negative integer (no sign, no trailing garbage). */
 bool
@@ -42,73 +50,45 @@ onCampaignSignal(int)
 
 } // namespace
 
-std::string
-checkFaultPlanText(const std::string &text)
+FaultPlan
+faultPlanFromString(const std::string &text)
 {
+    FaultPlan p;
     if (text == "none")
-        return "";
+        return p;
 
     const auto numbered = [&](const std::string &prefix) {
         return text.rfind(prefix, 0) == 0 &&
                text.size() > prefix.size();
     };
-    std::size_t n = 0;
-    if (numbered("crash-before-write@") || numbered("crash-after-write@") ||
-        numbered("sigint-after-write@")) {
+    for (const auto &[prefix, kind] : kWriteFaults) {
+        if (!numbered(prefix))
+            continue;
         const std::string arg = text.substr(text.find('@') + 1);
-        if (!parseIndex(arg, n))
-            return "bad write ordinal '" + arg + "' in fault '" +
-                   text + "'";
-        return "";
+        fatalIf(!parseIndex(arg, p.ordinal), "bad write ordinal '", arg,
+                "' in fault '", text, "'");
+        p.kind = kind;
+        return p;
     }
     if (numbered("fail@")) {
         const std::string arg = text.substr(5);
         const std::size_t colon = arg.find(':');
-        if (colon == std::string::npos)
-            return "fail fault needs SLOT:K, got '" + text + "'";
+        fatalIf(colon == std::string::npos,
+                "fail fault needs SLOT:K, got '", text, "'");
         std::size_t k = 0;
-        if (!parseIndex(arg.substr(0, colon), n) ||
-            !parseIndex(arg.substr(colon + 1), k))
-            return "bad fail fault '" + text +
-                   "' (want fail@SLOT:K, both non-negative integers)";
-        if (k == 0)
-            return "fail fault '" + text +
-                   "' never fires (K must be positive)";
-        if (k > UINT32_MAX)
-            return "fail count in '" + text + "' too large";
-        return "";
-    }
-    return "unknown fault '" + text + "' (known: " +
-           std::string(kKnownForms) + ")";
-}
-
-FaultPlan
-faultPlanFromString(const std::string &text)
-{
-    const std::string err = checkFaultPlanText(text);
-    fatalIf(!err.empty(), err);
-
-    FaultPlan p;
-    if (text == "none")
-        return p;
-    if (text.rfind("fail@", 0) == 0) {
-        const std::string arg = text.substr(5);
-        const std::size_t colon = arg.find(':');
+        fatalIf(!parseIndex(arg.substr(0, colon), p.ordinal) ||
+                    !parseIndex(arg.substr(colon + 1), k),
+                "bad fail fault '", text,
+                "' (want fail@SLOT:K, both non-negative integers)");
+        fatalIf(k == 0, "fail fault '", text,
+                "' never fires (K must be positive)");
+        fatalIf(k > UINT32_MAX, "fail count in '", text,
+                "' too large");
         p.kind = FaultPlan::Kind::kFailCell;
-        parseIndex(arg.substr(0, colon), p.ordinal);
-        std::size_t k = 0;
-        parseIndex(arg.substr(colon + 1), k);
         p.failCount = static_cast<unsigned>(k);
         return p;
     }
-    if (text.rfind("crash-before-write@", 0) == 0)
-        p.kind = FaultPlan::Kind::kCrashBeforeWrite;
-    else if (text.rfind("crash-after-write@", 0) == 0)
-        p.kind = FaultPlan::Kind::kCrashAfterWrite;
-    else
-        p.kind = FaultPlan::Kind::kSigintAfterWrite;
-    parseIndex(text.substr(text.find('@') + 1), p.ordinal);
-    return p;
+    fatal("unknown fault '", text, "' (known: ", kKnownForms, ")");
 }
 
 std::string

@@ -74,10 +74,6 @@ struct FaultPlan
     bool operator==(const FaultPlan &) const = default;
 };
 
-/** Validate a fault-plan text without throwing.
- *  @return empty on success, else a diagnostic listing the forms */
-std::string checkFaultPlanText(const std::string &text);
-
 /** Parse the canonical text form. @throws FatalError on bad input */
 FaultPlan faultPlanFromString(const std::string &text);
 

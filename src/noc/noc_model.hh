@@ -20,7 +20,6 @@
 
 #include "noc/topology.hh"
 #include "sim/server.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace cohmeleon::noc

@@ -7,46 +7,6 @@
 namespace cohmeleon
 {
 
-StatGroup::~StatGroup()
-{
-    for (Counter *c : counters_)
-        delete c;
-}
-
-Counter &
-StatGroup::counter(std::string_view name)
-{
-    const auto it = byName_.find(name);
-    if (it != byName_.end())
-        return *it->second;
-    Counter *c = new Counter(std::string(name));
-    counters_.push_back(c);
-    // The key views the Counter's own name, which is heap-stable.
-    byName_.emplace(c->name(), c);
-    return *c;
-}
-
-const Counter *
-StatGroup::find(std::string_view name) const
-{
-    const auto it = byName_.find(name);
-    return it != byName_.end() ? it->second : nullptr;
-}
-
-void
-StatGroup::resetAll()
-{
-    for (Counter *c : counters_)
-        c->reset();
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const Counter *c : counters_)
-        os << name_ << '.' << c->name() << ' ' << c->value() << '\n';
-}
-
 double
 geometricMean(const std::vector<double> &values)
 {

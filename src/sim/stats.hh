@@ -1,119 +1,16 @@
 /**
  * @file
- * Lightweight statistics: named counters and scalar accumulators with a
- * registry for dumping, plus a streaming summary (mean/min/max) type.
+ * The geometric mean behind the protocol's phase normalization and
+ * the profiling policy's mode ranking.
  */
 
 #ifndef COHMELEON_SIM_STATS_HH
 #define COHMELEON_SIM_STATS_HH
 
-#include <cstdint>
-#include <limits>
-#include <ostream>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace cohmeleon
 {
-
-/** Monotonic event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-    explicit Counter(std::string name) : name_(std::move(name)) {}
-
-    void inc(std::uint64_t by = 1) { value_ += by; }
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::uint64_t value_ = 0;
-};
-
-/** Streaming scalar summary: count, sum, min, max, mean. */
-class Summary
-{
-  public:
-    void
-    sample(double v)
-    {
-        ++count_;
-        sum_ += v;
-        min_ = (v < min_) ? v : min_;
-        max_ = (v > max_) ? v : max_;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    void
-    reset()
-    {
-        count_ = 0;
-        sum_ = 0.0;
-        min_ = std::numeric_limits<double>::infinity();
-        max_ = -std::numeric_limits<double>::infinity();
-    }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Registry of named counters belonging to one component, so components
- * can dump a readable stats block at the end of a run.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /**
-     * Create (or fetch) a counter registered under @p name. Takes a
-     * string_view keyed against a string_view-keyed map, so per-tick
-     * call sites passing literals or views never construct a
-     * temporary std::string on the fetch path (the name is copied
-     * only on first registration).
-     */
-    Counter &counter(std::string_view name);
-
-    /** Look up an existing counter. @return nullptr if absent. */
-    const Counter *find(std::string_view name) const;
-
-    /** Zero every registered counter. */
-    void resetAll();
-
-    /** Print "group.counter value" lines in registration order. */
-    void dump(std::ostream &os) const;
-
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    // Stable heap storage: counters are referenced long-term.
-    // counters_ keeps registration order for dump(); byName_ gives
-    // O(1) lookup without owning a second copy of each name (the
-    // string_view keys view each Counter's own string, and callers'
-    // views hash directly — no temporary std::string either way).
-    std::vector<Counter *> counters_;
-    std::unordered_map<std::string_view, Counter *> byName_;
-
-  public:
-    ~StatGroup();
-    StatGroup(const StatGroup &) = delete;
-    StatGroup &operator=(const StatGroup &) = delete;
-};
 
 /** Geometric mean of a non-empty vector of positive values. */
 double geometricMean(const std::vector<double> &values);

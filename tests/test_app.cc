@@ -366,33 +366,6 @@ TEST(Experiment, NormalizePhasesFloorsZeroRatios)
     EXPECT_EQ(n.geoDdr, 6.3245553203367618e-05);
 }
 
-TEST(Experiment, EvaluateComparesPoliciesOnTheSameApps)
-{
-    soc::SocConfig cfg = test::tinySocConfig();
-    EvalOptions opts;
-    opts.trainIterations = 2;
-    opts.appParams.phases = 2;
-    opts.appParams.maxThreads = 3;
-    opts.appParams.maxLoops = 1;
-
-    const auto outcomes = evaluatePolicies(
-        cfg, opts, {"fixed-non-coh-dma", "fixed-coh-dma", "manual"});
-    ASSERT_EQ(outcomes.size(), 3u);
-    // The baseline normalizes to exactly 1.
-    EXPECT_DOUBLE_EQ(outcomes[0].geoExec, 1.0);
-    EXPECT_DOUBLE_EQ(outcomes[0].geoDdr, 1.0);
-    for (const PolicyOutcome &o : outcomes) {
-        EXPECT_EQ(o.phases.size(), 2u);
-        EXPECT_GT(o.geoExec, 0.0);
-        EXPECT_GT(o.geoDdr, 0.0);
-    }
-    // Printing never throws and mentions every policy.
-    std::ostringstream os;
-    printOutcomeTable(os, outcomes);
-    for (const PolicyOutcome &o : outcomes)
-        EXPECT_NE(os.str().find(o.policy), std::string::npos);
-}
-
 TEST(Experiment, TrainingImprovesOverUntrained)
 {
     // After training with decaying epsilon, a frozen Cohmeleon must

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <functional>
 #include <set>
+#include <sstream>
 
 #include "app/campaign_runner.hh"
 #include "app/training_driver.hh"
@@ -52,27 +53,67 @@ twoSocCampaign()
 
 /** Bit-identical phases, per-phase norms and geomeans, in order. */
 void
-expectOutcomesIdentical(const std::vector<PolicyOutcome> &expected,
-                        const std::vector<PolicyOutcome> &got)
+expectOutcomesIdentical(const std::vector<CellResult> &expected,
+                        const std::vector<CellResult> &got)
 {
     ASSERT_EQ(expected.size(), got.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
-        const PolicyOutcome &e = expected[i];
-        const PolicyOutcome &g = got[i];
-        EXPECT_EQ(e.policy, g.policy);
+        const CellResult &e = expected[i];
+        const CellResult &g = got[i];
+        const std::string &policy = e.scenario.policy;
+        EXPECT_EQ(policy, g.scenario.policy);
         ASSERT_EQ(e.phases.size(), g.phases.size());
         for (std::size_t ph = 0; ph < e.phases.size(); ++ph) {
             EXPECT_EQ(e.phases[ph].execCycles, g.phases[ph].execCycles)
-                << e.policy << " phase " << ph;
+                << policy << " phase " << ph;
             EXPECT_EQ(e.phases[ph].ddrAccesses,
                       g.phases[ph].ddrAccesses)
-                << e.policy << " phase " << ph;
+                << policy << " phase " << ph;
         }
-        EXPECT_EQ(e.execNorm, g.execNorm) << e.policy;
-        EXPECT_EQ(e.ddrNorm, g.ddrNorm) << e.policy;
-        EXPECT_EQ(e.geoExec, g.geoExec) << e.policy;
-        EXPECT_EQ(e.geoDdr, g.geoDdr) << e.policy;
+        EXPECT_EQ(e.execNorm, g.execNorm) << policy;
+        EXPECT_EQ(e.ddrNorm, g.ddrNorm) << policy;
+        EXPECT_EQ(e.geoExec, g.geoExec) << policy;
+        EXPECT_EQ(e.geoDdr, g.geoDdr) << policy;
     }
+}
+
+/** @p group's cells, in expansion order. */
+std::vector<CellResult>
+groupOf(const CampaignResult &result, std::size_t group)
+{
+    std::vector<CellResult> cells;
+    for (std::size_t i : result.groupCells(group))
+        cells.push_back(result.cells[i]);
+    return cells;
+}
+
+/**
+ * The protocol without the campaign layer — no expansion, slot
+ * dedupe or group normalization: each policy through
+ * runProtocolForPolicy() on the makeProtocolApps() pair, then
+ * normalizePhases() against the first policy's phases.
+ */
+std::vector<CellResult>
+serialProtocol(const soc::SocConfig &cfg, const EvalOptions &opts,
+               const std::vector<std::string> &policies)
+{
+    const ProtocolApps apps = makeProtocolApps(cfg, opts);
+    std::vector<CellResult> cells;
+    for (const std::string &name : policies) {
+        CellResult c;
+        c.scenario.policy = name;
+        c.phases =
+            runProtocolForPolicy(name, cfg, opts, apps.train, apps.eval);
+        cells.push_back(std::move(c));
+    }
+    for (CellResult &c : cells) {
+        PhaseNorm n = normalizePhases(c.phases, cells.front().phases);
+        c.execNorm = std::move(n.execNorm);
+        c.ddrNorm = std::move(n.ddrNorm);
+        c.geoExec = n.geoExec;
+        c.geoDdr = n.geoDdr;
+    }
+    return cells;
 }
 
 std::string
@@ -524,8 +565,8 @@ TEST(Campaign, ResultsAreByteIdenticalAcrossJobCounts)
     ASSERT_EQ(a.cells.size(), 8u);
     ASSERT_EQ(a.groupCount, 2u);
     for (std::size_t g = 0; g < a.groupCount; ++g) {
-        const std::vector<PolicyOutcome> outcomes = a.groupOutcomes(g);
-        expectOutcomesIdentical(outcomes, b.groupOutcomes(g));
+        const std::vector<CellResult> outcomes = groupOf(a, g);
+        expectOutcomesIdentical(outcomes, groupOf(b, g));
         // The baseline normalizes to exactly 1.
         ASSERT_EQ(outcomes.size(), 4u);
         EXPECT_DOUBLE_EQ(outcomes[0].geoExec, 1.0);
@@ -539,9 +580,9 @@ TEST(Campaign, ResultsAreByteIdenticalAcrossJobCounts)
 
 TEST(Campaign, MatchesTheSerialProtocolDriver)
 {
-    // The campaign path must reproduce evaluatePolicies() bit for
-    // bit on every SoC: same apps, same policies (the stochastic one
-    // included), same normalization.
+    // The campaign path must reproduce the bare protocol steps bit
+    // for bit on every SoC: same apps, same policies (the stochastic
+    // one included), same normalization.
     const CampaignSpec c = twoSocCampaign();
     ParallelRunner wide(3);
     const CampaignResult result = CampaignRunner(wide).run(c);
@@ -555,9 +596,25 @@ TEST(Campaign, MatchesTheSerialProtocolDriver)
             result.cells[result.groupCells(g).front()].scenario.soc;
         SCOPED_TRACE(soc);
         expectOutcomesIdentical(
-            evaluatePolicies(soc::makeSocByName(soc), opts, c.policies),
-            result.groupOutcomes(g));
+            serialProtocol(soc::makeSocByName(soc), opts, c.policies),
+            groupOf(result, g));
     }
+}
+
+TEST(Campaign, OutcomeTablePinsItsBytes)
+{
+    // `cohmeleon_run compare` and `campaign` print this table; its
+    // bytes are part of their output contract.
+    ParallelRunner serial(1);
+    const CampaignResult result =
+        CampaignRunner(serial).run(tinyCampaign());
+    std::ostringstream os;
+    printOutcomeTable(os, result, 0);
+    EXPECT_EQ(os.str(),
+              "policy                exec(norm)   ddr(norm)\n"
+              "fixed-non-coh-dma          1.000       1.000\n"
+              "manual                     0.680       0.096\n"
+              "cohmeleon                  0.758       0.446\n");
 }
 
 TEST(Campaign, ExplicitCellsFormTheirOwnGroup)

@@ -6,10 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "app/app_runner.hh"
-#include "app/experiment.hh"
+#include "app/campaign_runner.hh"
 #include "policy/cohmeleon_policy.hh"
 #include "policy/manual.hh"
-#include "soc/soc_presets.hh"
 #include "test_util.hh"
 
 using namespace cohmeleon;
@@ -18,6 +17,20 @@ using test::runIsolated;
 
 namespace
 {
+
+/** The paper's protocol on SoC1 (10 training iterations, apps of up
+ *  to 6 threads) over @p policies, normalized to the first. */
+std::vector<app::CellResult>
+protocolOnSoc1(std::vector<std::string> policies)
+{
+    app::CampaignSpec c;
+    c.base.soc = "soc1";
+    c.base.trainIterations = 10;
+    c.base.appParams.maxThreads = 6;
+    c.policies = std::move(policies);
+    app::ParallelRunner runner;
+    return app::CampaignRunner(runner).run(c).cells;
+}
 
 class IntegrationTest : public ::testing::Test
 {
@@ -216,13 +229,8 @@ TEST_F(IntegrationTest, TrainedCohmeleonBeatsRandomAndBaseline)
 {
     // A paper-scale SoC (SoC1) gives the agent enough invocations per
     // training iteration to learn a real policy.
-    const soc::SocConfig cfg = soc::makeSocByName("soc1");
-    app::EvalOptions opts;
-    opts.trainIterations = 10;
-    opts.appParams.maxThreads = 6;
-
-    const auto outcomes = app::evaluatePolicies(
-        cfg, opts, {"fixed-non-coh-dma", "rand", "cohmeleon"});
+    const auto outcomes =
+        protocolOnSoc1({"fixed-non-coh-dma", "rand", "cohmeleon"});
     const double randExec = outcomes[1].geoExec;
     const double cohmExec = outcomes[2].geoExec;
     EXPECT_LT(cohmExec, randExec);
@@ -233,13 +241,8 @@ TEST_F(IntegrationTest, TrainedCohmeleonBeatsRandomAndBaseline)
 
 TEST_F(IntegrationTest, ManualAndCohmeleonAreCompetitive)
 {
-    const soc::SocConfig cfg = soc::makeSocByName("soc1");
-    app::EvalOptions opts;
-    opts.trainIterations = 10;
-    opts.appParams.maxThreads = 6;
-
-    const auto outcomes = app::evaluatePolicies(
-        cfg, opts, {"fixed-non-coh-dma", "manual", "cohmeleon"});
+    const auto outcomes =
+        protocolOnSoc1({"fixed-non-coh-dma", "manual", "cohmeleon"});
     const auto &manual = outcomes[1];
     const auto &cohm = outcomes[2];
     // Both runtime policies beat the static baseline...

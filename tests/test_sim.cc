@@ -479,76 +479,6 @@ TEST(Rng, SplitStreamsAreIndependentButDeterministic)
 
 // ----------------------------------------------------------------- stats
 
-TEST(Stats, CounterBasics)
-{
-    Counter c("hits");
-    c.inc();
-    c.inc(4);
-    EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, SummaryTracksMinMeanMax)
-{
-    Summary s;
-    s.sample(2.0);
-    s.sample(4.0);
-    s.sample(9.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-}
-
-TEST(Stats, EmptySummaryIsZero)
-{
-    Summary s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.min(), 0.0);
-    EXPECT_DOUBLE_EQ(s.max(), 0.0);
-}
-
-TEST(Stats, StatGroupRegistersAndDumps)
-{
-    StatGroup g("cache");
-    g.counter("hits").inc(3);
-    g.counter("misses").inc(1);
-    EXPECT_EQ(&g.counter("hits"), &g.counter("hits"));
-    EXPECT_EQ(g.find("hits")->value(), 3u);
-    EXPECT_EQ(g.find("absent"), nullptr);
-
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("cache.hits 3"), std::string::npos);
-    g.resetAll();
-    EXPECT_EQ(g.find("hits")->value(), 0u);
-}
-
-TEST(Stats, StatGroupHeterogeneousLookup)
-{
-    StatGroup g("noc");
-    g.counter("flits").inc(2);
-    // Lookup via string_view and std::string alike, no re-registration.
-    const std::string_view sv = "flits";
-    const std::string s = "flits";
-    EXPECT_EQ(&g.counter(sv), &g.counter(s));
-    EXPECT_EQ(g.find(sv)->value(), 2u);
-    EXPECT_EQ(g.find(s), g.find("flits"));
-}
-
-TEST(Stats, StatGroupDumpsInRegistrationOrder)
-{
-    StatGroup g("g");
-    g.counter("zebra").inc(1);
-    g.counter("alpha").inc(2);
-    std::ostringstream os;
-    g.dump(os);
-    const std::string out = os.str();
-    EXPECT_LT(out.find("g.zebra 1"), out.find("g.alpha 2"));
-}
-
 TEST(Stats, GeometricMean)
 {
     EXPECT_DOUBLE_EQ(geometricMean({4.0, 9.0}), 6.0);

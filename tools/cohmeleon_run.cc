@@ -529,7 +529,7 @@ cmdCompare(Args &args)
     const app::CampaignResult result = driver.run(spec);
     const double elapsed = timer.seconds();
     std::ostringstream os;
-    app::printOutcomeTable(os, result.groupOutcomes(0));
+    app::printOutcomeTable(os, result, 0);
     std::fputs(os.str().c_str(), stdout);
     std::printf("\nsweep wall time: %.2fs\n", elapsed);
     return 0;
@@ -666,7 +666,7 @@ cmdCampaign(Args &args)
             continue;
         }
         std::ostringstream os;
-        app::printOutcomeTable(os, result.groupOutcomes(g));
+        app::printOutcomeTable(os, result, g);
         std::fputs(os.str().c_str(), stdout);
     }
 
