@@ -12,30 +12,18 @@
 #ifndef COHMELEON_BENCH_BENCH_UTIL_HH
 #define COHMELEON_BENCH_BENCH_UTIL_HH
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
-#include <vector>
 
-#include "app/experiment.hh"
-#include "policy/checkpoint.hh"
-#include "policy/fixed.hh"
 #include "policy/policy.hh"
 #include "rt/runtime.hh"
-#include "sim/json_writer.hh"
 #include "sim/logging.hh"
 #include "sim/wall_timer.hh"
 #include "soc/soc.hh"
 
 namespace cohmeleon::bench
 {
-
-/** The JSON metric writer now lives in the library so the campaign
- *  runner can emit CAMPAIGN_<name>.json through the same code; the
- *  benches keep addressing it as bench::JsonReporter. */
-using cohmeleon::JsonReporter;
 
 /** Whether the full (paper-scale) configuration was requested. */
 inline bool
@@ -66,26 +54,6 @@ norm(double value, double baseline)
         std::snprintf(buf, sizeof(buf), "%.2f", value / baseline);
     }
     return buf;
-}
-
-/** Normalized quality of @p model on @p cfg: exec and DDR vs fixed
- *  non-coherent DMA on the same evaluation app (seed 2022, the
- *  protocol's default evaluation seed). */
-inline app::PhaseNorm
-evaluateCheckpoint(const policy::PolicyCheckpoint &model,
-                   const soc::SocConfig &cfg,
-                   const app::RandomAppParams &appParams)
-{
-    soc::Soc naming(cfg);
-    const app::AppSpec evalApp =
-        app::generateRandomApp(naming, Rng(2022), appParams);
-
-    policy::FixedPolicy baseline(coh::CoherenceMode::kNonCohDma);
-    const app::AppResult base =
-        app::runPolicyOnApp(baseline, cfg, evalApp);
-    const app::AppResult eval =
-        app::runPolicyOnApp(*model.makePolicy(), cfg, evalApp);
-    return app::normalizePhases(eval.phases, base.phases);
 }
 
 } // namespace cohmeleon::bench

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -183,9 +184,8 @@ expandCells(const CampaignSpec &c)
 // ------------------------------------------------------ cell execution
 
 /**
- * Figure-3 measurement unit, moved verbatim from the pre-refactor
- * bench_fig3_parallel: run @p accs concurrently, looped, under one
- * scripted mode, on a private SoC built from @p cfg.
+ * Figure-3 measurement unit: run @p accs concurrently, looped, under
+ * one scripted mode, on a private SoC built from @p cfg.
  */
 std::vector<ConcurrentAccMean>
 runSet(const soc::SocConfig &cfg, const std::vector<AccId> &accs,
@@ -577,15 +577,12 @@ checkFaultCanFire(const FaultPlan &fault, std::size_t slots,
  *  concurrent groups replicate Figure 3's per-accelerator
  *  normalization against the auto-generated single-run cells. */
 void
-normalizeGroups(const CampaignSpec &spec,
-                std::vector<CellResult> &cells, std::size_t groupCount,
+normalizeGroups(const CampaignSpec &spec, CampaignResult &result,
                 std::size_t explicitGroup)
 {
-    for (std::size_t g = 0; g < groupCount; ++g) {
-        std::vector<std::size_t> idx;
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            if (cells[i].group == g)
-                idx.push_back(i);
+    std::vector<CellResult> &cells = result.cells;
+    for (std::size_t g = 0; g < result.groupCount; ++g) {
+        const std::vector<std::size_t> idx = result.groupCells(g);
         if (idx.empty())
             continue;
 
@@ -815,8 +812,7 @@ CampaignRunner::run(const CampaignSpec &spec,
     // Stage 3: normalization, fixed order, calling thread.
     const std::size_t explicitGroup =
         spec.cells.empty() ? result.groupCount : result.groupCount - 1;
-    normalizeGroups(spec, result.cells, result.groupCount,
-                    explicitGroup);
+    normalizeGroups(spec, result, explicitGroup);
     return result;
 }
 
@@ -939,12 +935,20 @@ void
 printOutcomeTable(std::ostream &os, const CampaignResult &result,
                   std::size_t group)
 {
-    os << std::left << std::setw(20) << "policy" << std::right
-       << std::setw(12) << "exec(norm)" << std::setw(12)
+    const std::vector<std::size_t> idx = result.groupCells(group);
+    // Rows are labelled by policy unless two of them share one (e.g.
+    // hand-picked cells varying another knob): then by cell name.
+    std::set<std::string> policies;
+    for (std::size_t i : idx)
+        policies.insert(result.cells[i].scenario.policy);
+    const bool byName = policies.size() < idx.size();
+    os << std::left << std::setw(20) << (byName ? "cell" : "policy")
+       << std::right << std::setw(12) << "exec(norm)" << std::setw(12)
        << "ddr(norm)" << '\n';
-    for (std::size_t i : result.groupCells(group)) {
+    for (std::size_t i : idx) {
         const CellResult &c = result.cells[i];
-        os << std::left << std::setw(20) << c.scenario.policy
+        os << std::left << std::setw(20)
+           << (byName ? c.scenario.name : c.scenario.policy)
            << std::right << std::fixed << std::setprecision(3)
            << std::setw(12) << c.geoExec << std::setw(12) << c.geoDdr
            << '\n';

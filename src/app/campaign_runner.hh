@@ -17,8 +17,10 @@
  * CampaignRunner is the one driver of the paper's protocol: every
  * policy sweep — campaigns, `cohmeleon_run compare`, the benchmark
  * sweeps and the figure benches — runs through it and reports
- * CellResults. The fig3/fig9/ablation benches wrap campaigns
- * registered in namedCampaign(); fig5/fig6/fig7 build their
+ * CellResults. The Figure-3 grid, the ablations and the cross-SoC
+ * transfer study run only as campaigns registered in namedCampaign()
+ * (`cohmeleon_run campaign fig3|ablation|transfer`); bench_fig9_socs
+ * wraps the registered fig9 campaign, and fig5/fig6/fig7 build their
  * CampaignSpec inline. (fig6's reward-weight sweep calls the
  * protocol steps directly: a ScenarioSpec has no reward weights.)
  */
@@ -179,7 +181,9 @@ class CampaignRunner
 
 /** Render @p group's protocol cells as the outcome table (one row
  *  per cell: policy, geomean exec and DDR vs the group baseline) —
- *  the table `cohmeleon_run compare` and `campaign` print. */
+ *  the table `cohmeleon_run compare` and `campaign` print. When two
+ *  cells of the group share a policy, every row is labelled by its
+ *  cell name instead. */
 void printOutcomeTable(std::ostream &os, const CampaignResult &result,
                        std::size_t group);
 
@@ -196,9 +200,9 @@ const std::vector<std::string> &namedCampaignNames();
 bool isNamedCampaign(const std::string &name);
 
 /**
- * Look up a registered campaign. @p fullScale selects the paper-scale
- * variant where the figure benches distinguish one
- * (COHMELEON_BENCH_FULL).
+ * Look up a registered campaign. @p fullScale (`campaign --full`)
+ * selects the paper-scale variant of fig3, ablation and transfer;
+ * the other campaigns have one scale.
  * @throws FatalError for unknown names
  */
 CampaignSpec namedCampaign(const std::string &name, bool fullScale);

@@ -1,8 +1,9 @@
 /**
  * @file
- * The registered (named) campaigns: the paper-figure sweeps the bench
- * binaries wrap, plus the tiny CI smoke grid. Each is an ordinary
- * CampaignSpec value — `cohmeleon_run campaign <name>` runs them and
+ * The registered (named) campaigns: the Figure 3/9 sweeps, the
+ * ablations and the cross-SoC transfer study, plus the tiny CI smoke
+ * grids. Each is an ordinary CampaignSpec value — `cohmeleon_run
+ * campaign <name>` runs them (bench_fig9_socs also wraps fig9) and
  * serializeCampaign() prints them, so every figure sweep is also a
  * readable, forkable text file.
  */

@@ -102,9 +102,8 @@ class QLearningAgent
     Model &model() { return model_; }
     const Model &model() const { return model_; }
 
-    /** The tabular backend's Q-table (tabular-only paths: standalone
-     *  Q-table files, tests). @throws FatalError for other
-     *  backends */
+    /** The tabular backend's Q-table (tabular-only paths, such as
+     *  tests). @throws FatalError for other backends */
     QTable &table() { return model_.qtable(); }
     const QTable &table() const { return model_.qtable(); }
 

@@ -22,8 +22,7 @@
  *    parallel training driver's thread-count-invariance rests on.
  *  - Model is the copyable value wrapper the rest of the stack holds
  *    (checkpoints, serve generations, shard folds), with a qtable()
- *    escape hatch for the tabular-only code paths (standalone Q-table
- *    files, tests).
+ *    escape hatch for the tabular-only code paths (tests).
  *
  * Backends: TabularModel (here; wraps the unchanged QTable) and the
  * hashed-perceptron model (rl/perceptron.hh).
@@ -272,7 +271,7 @@ class Model
     void resetToZero() { impl_->resetToZero(); }
 
     /** The underlying QTable of a tabular model — the escape hatch
-     *  for tabular-only paths (standalone Q-table files, tests).
+     *  for tabular-only paths (tests).
      *  @throws FatalError when the backend is not tabular */
     QTable &qtable();
     const QTable &qtable() const;

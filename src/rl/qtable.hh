@@ -2,8 +2,9 @@
  * @file
  * The coherence Q-table: |S| x |A| = 243 x 4 = 972 Q-values (paper
  * Section 4.2), with masked argmax for tiles where some modes are
- * unavailable, per-entry visit counts, and a plain-text save/load
- * format so trained policies can be persisted and restored.
+ * unavailable and per-entry visit counts. Tables persist through
+ * rl::TabularModel's "qtable" block, inside checkpoints and serve
+ * state.
  *
  * Visit counts make tables mergeable: N tables trained independently
  * on disjoint shards of invocations fold into one via merge(), a
@@ -17,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "rl/state_encoder.hh"
@@ -150,17 +150,6 @@ class QTable
 
     /** True when every Q-value is finite (no NaN/Inf poisoning). */
     bool allFinite() const;
-
-    void save(std::ostream &os) const;
-
-    /**
-     * Restore from a save() stream. Fails loudly — wrong magic or
-     * dimensions, truncation, unparseable or non-finite values, and
-     * trailing garbage all throw, and the table is left untouched on
-     * any failure (no partially-loaded state).
-     * @throws FatalError on malformed input
-     */
-    void load(std::istream &is);
 
     void resetToZero();
 

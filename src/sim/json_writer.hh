@@ -1,9 +1,8 @@
 /**
  * @file
  * Machine-readable result output: a flat JSON object of numeric and
- * string metrics emitted in insertion order. Shared by the benchmark
- * binaries (BENCH_<name>.json) and the campaign runner
- * (CAMPAIGN_<name>.json), so CI and later PRs can diff results
+ * string metrics emitted in insertion order. The campaign runner
+ * writes CAMPAIGN_<name>.json through it, so CI can diff results
  * without scraping stdout.
  *
  * The rendering is deliberately canonical — fixed key order, "%.6g"
@@ -32,10 +31,9 @@ namespace cohmeleon
 class JsonReporter
 {
   public:
-    explicit JsonReporter(std::string benchName)
-        : benchName_(std::move(benchName))
+    explicit JsonReporter(const std::string &benchName)
     {
-        addString("bench", benchName_);
+        addString("bench", benchName);
     }
 
     void
@@ -94,16 +92,6 @@ class JsonReporter
         atomicWriteFile(path, str());
     }
 
-    /** Write BENCH_<name>.json into the working directory.
-     *  @return the file name written. */
-    std::string
-    write() const
-    {
-        const std::string file = "BENCH_" + benchName_ + ".json";
-        writeTo(file);
-        return file;
-    }
-
   private:
     struct Entry
     {
@@ -134,7 +122,6 @@ class JsonReporter
         return out;
     }
 
-    std::string benchName_;
     std::vector<Entry> entries_;
 };
 

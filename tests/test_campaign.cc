@@ -617,6 +617,35 @@ TEST(Campaign, OutcomeTablePinsItsBytes)
               "cohmeleon                  0.758       0.446\n");
 }
 
+TEST(Campaign, OutcomeTableLabelsSharedPoliciesByCellName)
+{
+    // Two cells of one group run the same policy under different
+    // knobs (as in the ablation campaign): every row is then
+    // labelled by its cell name, so the rows stay distinct.
+    CampaignSpec c = tinyCampaign();
+    c.policies.clear();
+    ScenarioSpec cell = c.base;
+    cell.name = "baseline";
+    cell.policy = "fixed-non-coh-dma";
+    c.cells.push_back(cell);
+    cell.name = "attribution-approx";
+    cell.policy = "cohmeleon";
+    c.cells.push_back(cell);
+    cell.name = "attribution-exact";
+    cell.exactAttribution = true;
+    c.cells.push_back(cell);
+
+    ParallelRunner serial(1);
+    const CampaignResult result = CampaignRunner(serial).run(c);
+    std::ostringstream os;
+    printOutcomeTable(os, result, 0);
+    EXPECT_EQ(os.str(),
+              "cell                  exec(norm)   ddr(norm)\n"
+              "baseline                   1.000       1.000\n"
+              "attribution-approx         0.758       0.446\n"
+              "attribution-exact          0.758       0.446\n");
+}
+
 TEST(Campaign, ExplicitCellsFormTheirOwnGroup)
 {
     CampaignSpec c;
@@ -814,6 +843,71 @@ TEST(Transfer, StrategyAxesTrainOneModelPerPair)
     // ...and the JSON labels the swept strategy per cell.
     EXPECT_NE(a.json().find(".merge\": \"recency@0.5\""),
               std::string::npos);
+}
+
+TEST(Transfer, CampaignCellMatchesTrainThenFrozenEval)
+{
+    // The transfer study without the campaign layer: train on
+    // {soc1, soc2}, evaluate the frozen merged model on the unseen
+    // soc5 against fixed non-coherent DMA on the protocol's eval app.
+    // The campaign's cohmeleon cell must report exactly those numbers
+    // for every model backend.
+    CampaignSpec c;
+    c.name = "transfer-oracle";
+    c.baseline = "fixed-non-coh-dma";
+    c.transfer.socs = {"soc1", "soc2"};
+    c.transfer.iterations = 2;
+    c.transfer.shardsPerSoc = 1;
+    c.base.trainApp = TrainAppShape::kSameAsEval;
+    c.base.appParams.phases = 2;
+    c.base.appParams.maxThreads = 3;
+    c.base.appParams.maxLoops = 1;
+    c.socs = {"soc5"};
+    c.policies = {"fixed-non-coh-dma", "cohmeleon"};
+    c.models = {rl::modelSpecFromString("tabular"),
+                rl::modelSpecFromString("perceptron:tables=16,bits=12")};
+
+    ParallelRunner runner(2);
+    const CampaignResult result = CampaignRunner(runner).run(c);
+
+    const soc::SocConfig evalCfg = soc::makeSocByName("soc5");
+    EvalOptions eopts;
+    eopts.appParams = c.base.appParams;
+    const AppSpec evalApp = protocolEvalApp(soc::Soc(evalCfg), eopts);
+    policy::FixedPolicy baseline(coh::CoherenceMode::kNonCohDma);
+    const AppResult base = runPolicyOnApp(baseline, evalCfg, evalApp);
+
+    for (const rl::ModelSpec &model : c.models) {
+        const std::string name = rl::toString(model);
+        TrainingOptions topts;
+        topts.iterations = 2;
+        topts.shards = 1;
+        topts.model = model;
+        topts.appParams = c.base.appParams;
+        const TrainingResult trained = trainAcrossSocs(
+            {soc::makeSocByName("soc1"), soc::makeSocByName("soc2")},
+            topts, runner);
+        const policy::PolicyCheckpoint &ckpt = trained.checkpoint;
+        ASSERT_GT(ckpt.model.totalVisits(), 0u) << name;
+        const AppResult eval =
+            runPolicyOnApp(*ckpt.makePolicy(), evalCfg, evalApp);
+        const PhaseNorm want = normalizePhases(eval.phases, base.phases);
+
+        const CellResult *cell =
+            result.find("soc5/cohmeleon/md-" + name);
+        ASSERT_NE(cell, nullptr) << name;
+        EXPECT_EQ(cell->training.source, TrainSummary::Source::kTransfer)
+            << name;
+        EXPECT_EQ(cell->geoExec, want.geoExec) << name;
+        EXPECT_EQ(cell->geoDdr, want.geoDdr) << name;
+        EXPECT_EQ(cell->execNorm, want.execNorm) << name;
+        EXPECT_EQ(cell->ddrNorm, want.ddrNorm) << name;
+        EXPECT_EQ(cell->training.qUpdates, ckpt.model.totalVisits())
+            << name;
+        EXPECT_EQ(cell->training.entriesCovered,
+                  ckpt.model.updatedEntries())
+            << name;
+    }
 }
 
 TEST(Campaign, ShardedCellsThreadTheStrategiesThrough)

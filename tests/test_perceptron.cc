@@ -4,7 +4,8 @@
  * (rl::PerceptronModel): feature-hash determinism, bucket collision
  * behavior, weight saturation, shard-merge associativity, the
  * fail-loudly (de)serialization contract, and the exact training
- * counts of the learned-backend study (bench_perceptron).
+ * counts of the learned-backend study (the transfer campaign's
+ * `model` axis, at 4 shards per SoC).
  */
 
 #include <gtest/gtest.h>
@@ -303,8 +304,10 @@ TEST(Perceptron, ModelWrapperRefusesTheTabularEscapeHatch)
 
 TEST(Perceptron, StudyTrainingCountsArePinnedExactly)
 {
-    // bench_perceptron's quick sh4 configuration: soc1+soc2, 6 passes,
-    // 4 shards per SoC, small random apps. entries_covered pins the
+    // The learned-backend study at 4 shards per SoC: a transfer
+    // campaign training on soc1+soc2, 6 passes, small random apps
+    // (`[train] shards = 4`, tabular vs perceptron on the `model`
+    // axis). entries_covered pins the
     // perceptron's feature-hash layout; any drift in the simulator,
     // the training schedule or the hash changes these numbers.
     setQuiet(true);

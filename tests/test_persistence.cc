@@ -1,5 +1,5 @@
-/** @file Tests for model persistence — the legacy Q-table files and
- *  the versioned full-state PolicyCheckpoint format — plus the SoC
+/** @file Tests for model persistence — the versioned full-state
+ *  PolicyCheckpoint format and its v1/v2 migrations — plus the SoC
  *  statistics dump and the experiment-protocol options added on top
  *  of the paper. */
 
@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -63,8 +64,8 @@ smallTrainedPolicy(const soc::SocConfig &cfg, unsigned iterations,
 
 TEST(Persistence, TrainedPolicySurvivesSaveLoad)
 {
-    // Train a small policy, persist its Q-table, restore it into a
-    // fresh policy, and check frozen decisions are identical.
+    // Train a small policy, persist it as a checkpoint, restore it
+    // into a fresh policy, and check frozen decisions are identical.
     const soc::SocConfig cfg = test::tinySocConfig();
     policy::CohmeleonParams params;
     params.agent.decayIterations = 3;
@@ -78,18 +79,18 @@ TEST(Persistence, TrainedPolicySurvivesSaveLoad)
                         app::generateRandomApp(naming, Rng(5), ap), 3);
 
     std::stringstream persisted;
-    trained.agent().table().save(persisted);
+    policy::PolicyCheckpoint::capture(trained).save(persisted);
 
-    policy::CohmeleonPolicy restored(params);
-    restored.agent().table().load(persisted);
-    restored.freeze();
+    const std::unique_ptr<policy::CohmeleonPolicy> restored =
+        policy::PolicyCheckpoint::load(persisted).makePolicy();
+    restored->freeze();
 
-    // Frozen decisions agree on every state with a unique argmax.
+    // Frozen decisions agree on every state.
     for (unsigned s = 0; s < rl::StateTuple::kNumStates; ++s) {
         const unsigned a =
             trained.agent().table().bestAction(s, coh::kAllModesMask);
         const unsigned b =
-            restored.agent().table().bestAction(s, coh::kAllModesMask);
+            restored->agent().table().bestAction(s, coh::kAllModesMask);
         ASSERT_EQ(a, b) << "state " << s;
     }
 }
@@ -109,13 +110,13 @@ TEST(Persistence, RestoredPolicyRunsApplications)
     app::trainCohmeleon(trained, cfg, spec, 2);
 
     std::stringstream persisted;
-    trained.agent().table().save(persisted);
-    policy::CohmeleonPolicy restored(params);
-    restored.agent().table().load(persisted);
-    restored.freeze();
+    policy::PolicyCheckpoint::capture(trained).save(persisted);
+    const std::unique_ptr<policy::CohmeleonPolicy> restored =
+        policy::PolicyCheckpoint::load(persisted).makePolicy();
+    restored->freeze();
 
     const app::AppResult result =
-        app::runPolicyOnApp(restored, cfg, spec);
+        app::runPolicyOnApp(*restored, cfg, spec);
     EXPECT_GT(result.totalExecCycles(), 0u);
 }
 

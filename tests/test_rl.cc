@@ -7,6 +7,8 @@
 #include <array>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "rl/agent.hh"
@@ -169,85 +171,63 @@ TEST(QTable, BestActionTiesPickLowestIndex)
     EXPECT_EQ(q.bestAction(0, 0b1100), 2u);
 }
 
-TEST(QTable, SaveLoadRoundTrip)
-{
-    QTable q;
-    q.setQ(0, 0, 0.125);
-    q.setQ(100, 3, -2.5);
-    q.setQ(242, 1, 7.75);
-    std::stringstream ss;
-    q.save(ss);
+// ------------------------------------------------- tabular persistence
 
-    QTable r;
-    r.load(ss);
-    EXPECT_DOUBLE_EQ(r.q(0, 0), 0.125);
-    EXPECT_DOUBLE_EQ(r.q(100, 3), -2.5);
-    EXPECT_DOUBLE_EQ(r.q(242, 1), 7.75);
-    EXPECT_DOUBLE_EQ(r.q(50, 2), 0.0);
+namespace
+{
+
+/** A "qtable 243 4" model block with one trained row (state 5). */
+std::string
+tabularBlock()
+{
+    std::ostringstream os;
+    os << "qtable 243 4\n";
+    for (unsigned s = 0; s < StateTuple::kNumStates; ++s)
+        os << (s == 5 ? "42 0 0 1.5 3 0 0 1\n" : "0 0 0 0 0 0 0 0\n");
+    return os.str();
 }
 
-TEST(QTable, LoadRejectsGarbage)
+std::string
+savedBytes(const Model &model)
 {
-    QTable q;
-    std::stringstream ss("not-a-qtable 1 2\n");
-    EXPECT_THROW(q.load(ss), FatalError);
-    std::stringstream truncated("cohmeleon-qtable 243 4\n1.0 2.0\n");
-    EXPECT_THROW(q.load(truncated), FatalError);
+    std::ostringstream os;
+    model.save(os);
+    return os.str();
 }
 
-TEST(QTable, LoadRejectsWrongDimensions)
-{
-    QTable q;
-    std::stringstream wrongStates("cohmeleon-qtable 100 4\n");
-    EXPECT_THROW(q.load(wrongStates), FatalError);
-    std::stringstream wrongActions("cohmeleon-qtable 243 7\n");
-    EXPECT_THROW(q.load(wrongActions), FatalError);
-}
+} // namespace
 
-TEST(QTable, LoadRejectsNonFiniteValues)
+TEST(TabularModel, HostileBlocksThrowAndLeaveTheModelUntouched)
 {
-    // A NaN in a persisted table silently corrupts every later
-    // greedy decision (NaN never compares greater); reject it.
-    QTable trained;
-    trained.setQ(0, 1, 0.5);
-    std::stringstream ss;
-    trained.save(ss);
-    std::string text = ss.str();
-    const std::string needle = "0.5";
-    text.replace(text.find(needle), needle.size(), "nan");
-    QTable q;
-    std::stringstream corrupted(text);
-    EXPECT_THROW(q.load(corrupted), FatalError);
+    Model model;
+    std::istringstream in(tabularBlock());
+    model.load(in);
+    EXPECT_DOUBLE_EQ(model.qtable().q(5, 0), 42.0);
+    EXPECT_EQ(model.totalVisits(), 4u);
+    const std::string before = savedBytes(model);
 
-    // Overflowing literals (1e999 -> Inf) are rejected too.
-    std::stringstream ss2;
-    trained.save(ss2);
-    std::string text2 = ss2.str();
-    text2.replace(text2.find(needle), needle.size(), "1e999");
-    std::stringstream corrupted2(text2);
-    EXPECT_THROW(q.load(corrupted2), FatalError);
-}
-
-TEST(QTable, LoadRejectsTrailingGarbage)
-{
-    QTable trained;
-    std::stringstream ss;
-    trained.save(ss);
-    ss << "extra-token\n";
-    QTable q;
-    EXPECT_THROW(q.load(ss), FatalError);
-}
-
-TEST(QTable, FailedLoadLeavesTableUntouched)
-{
-    QTable q;
-    q.setQ(5, 3, 42.0);
-    std::stringstream truncated("cohmeleon-qtable 243 4\n1.0 2.0\n");
-    EXPECT_THROW(q.load(truncated), FatalError);
-    // No partially-loaded state: the pre-load contents survive.
-    EXPECT_DOUBLE_EQ(q.q(5, 3), 42.0);
-    EXPECT_DOUBLE_EQ(q.q(0, 0), 0.0);
-    EXPECT_TRUE(q.tried(5, 3));
+    const std::string good = tabularBlock();
+    const std::string row = "42 0 0 1.5";
+    std::vector<std::pair<std::string, std::string>> hostile = {
+        {"wrong magic", "perceptron 243 4\n" +
+                            good.substr(good.find('\n') + 1)},
+        {"truncated", "qtable 243 4\n1.0 2.0\n"},
+        {"wrong state count", "qtable 100 4\n"},
+        {"wrong action count", "qtable 243 7\n"},
+    };
+    // A NaN silently corrupts every later greedy decision (NaN never
+    // compares greater); an overflowing literal would load as Inf.
+    for (const char *poison : {"nan", "inf", "1e999"}) {
+        std::string text = good;
+        text.replace(text.find(row), 2, poison);
+        hostile.emplace_back(poison, text);
+    }
+    for (const auto &[what, text] : hostile) {
+        std::istringstream bad(text);
+        EXPECT_THROW(model.load(bad), FatalError) << what;
+        // No partially-loaded state: the pre-load contents survive.
+        EXPECT_EQ(savedBytes(model), before) << what;
+    }
 }
 
 // ------------------------------------------------------- visits + merge

@@ -80,7 +80,7 @@ servedAt(unsigned threads)
     return it->second;
 }
 
-/** Canonical bytes of a Q-table (QTable::save stream). */
+/** Canonical bytes of a model (its save() block). */
 std::string
 tableBytes(const rl::Model &model)
 {

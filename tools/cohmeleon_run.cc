@@ -622,13 +622,21 @@ cmdCampaign(Args &args)
         const std::vector<std::size_t> idx = result.groupCells(g);
         if (idx.empty())
             continue;
-        const app::CellResult &first = result.cells[idx.front()];
-        std::printf("\n--- group %zu (soc %s, seed %llu) ---\n", g,
-                    first.scenario.soc.c_str(),
-                    static_cast<unsigned long long>(
-                        first.scenario.evalSeed));
-        if (first.scenario.workload ==
-            app::WorkloadKind::kConcurrent) {
+        const app::ScenarioSpec &first =
+            result.cells[idx.front()].scenario;
+        // Strategy keys only when off the defaults, as in the JSON.
+        std::string strategy;
+        if (!(first.merge == rl::MergeSpec{}))
+            strategy += ", merge " + rl::toString(first.merge);
+        if (!(first.explore == rl::ExploreSpec{}))
+            strategy += ", explore " + rl::toString(first.explore);
+        if (!(first.model == rl::ModelSpec{}))
+            strategy += ", model " + rl::toString(first.model);
+        std::printf("\n--- group %zu (soc %s, seed %llu%s) ---\n", g,
+                    first.soc.c_str(),
+                    static_cast<unsigned long long>(first.evalSeed),
+                    strategy.c_str());
+        if (first.workload == app::WorkloadKind::kConcurrent) {
             std::printf("%-28s %10s %10s\n", "cell", "exec(norm)",
                         "ddr(norm)");
             for (std::size_t i : idx) {

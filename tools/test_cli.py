@@ -11,6 +11,7 @@ contract from the outside:
   * flags written before --scenario/--spec still apply;
   * a bad flag value exits 2 with one stderr line naming the flag,
     for the same values a spec file rejects;
+  * campaign group headers name the strategy keys a group sweeps;
   * the retired Q-values-only flags print usage.
 
 usage: test_cli.py PATH/TO/cohmeleon_run
@@ -91,6 +92,25 @@ class FlagsAreSpecKeys(CliTestCase):
             out = self.ok("serve", *args, "--decision-log", name)
             self.assertIn("serving 2 request(s)", out)
             self.assertEqual((self.dir / name).read_bytes(), want, name)
+
+
+class CampaignPrintout(CliTestCase):
+    def test_group_headers_name_the_swept_model(self):
+        self.write("m.campaign",
+                   "campaign = model-axis\n"
+                   "baseline = fixed-non-coh-dma\n"
+                   "[scenario]\nsoc = soc1\ntrain = 1\n"
+                   "app-phases = 1\napp-max-threads = 2\n"
+                   "app-max-loops = 1\n"
+                   "[axes]\npolicy = fixed-non-coh-dma, cohmeleon\n"
+                   "model = tabular, perceptron:tables=2,bits=4\n")
+        out = self.ok("campaign", "m.campaign", "-o", "m.json")
+        headers = [l for l in out.splitlines()
+                   if l.startswith("--- group")]
+        self.assertEqual(len(headers), 2, out)
+        self.assertNotEqual(headers[0][len("--- group 0"):],
+                            headers[1][len("--- group 1"):])
+        self.assertIn("model perceptron:tables=2,bits=4", headers[1])
 
 
 class BadFlagValues(CliTestCase):
