@@ -1,6 +1,7 @@
 #include "app/campaign_runner.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <fstream>
 #include <functional>
@@ -57,6 +58,14 @@ strategyKey(const ScenarioSpec &s)
 {
     return rl::toString(s.merge) + '|' + rl::toString(s.explore) +
            '|' + rl::toString(effectiveModelSpec(s));
+}
+
+/** Whether the cell's policy learns: only Cohmeleon trains, shards
+ *  or traces a convergence curve. */
+bool
+learns(const ScenarioSpec &s)
+{
+    return parsePolicyName(s.policy).base == "cohmeleon";
 }
 
 template <typename T>
@@ -178,6 +187,16 @@ expandCells(const CampaignSpec &c)
             out.push_back({cell, group, false});
         ++group;
     }
+
+    // A [scenario]-level learner knob reaches every cell; the baselines
+    // beside the learner do not train, so they drop it.
+    for (ExpandedCell &cell : out) {
+        ScenarioSpec &s = cell.spec;
+        if ((s.trainShards != 0 || s.evalEvery != 0) && !learns(s)) {
+            s.trainShards = 0;
+            s.evalEvery = 0;
+        }
+    }
     return out;
 }
 
@@ -292,6 +311,34 @@ summarizeModel(TrainSummary &t, const policy::PolicyCheckpoint &ckpt)
     t.iteration = ckpt.iteration;
 }
 
+/**
+ * Online training that traces the Figure-8 convergence curve: a frozen
+ * evaluation of @p evalApp before the first iteration and after every
+ * @p every-th. Each evaluation freezes the policy, runs the app on a
+ * fresh SoC and unfreezes it. Ends frozen, like trainCohmeleon().
+ */
+std::vector<std::vector<PhaseResult>>
+trainTracingCurve(policy::CohmeleonPolicy &policy,
+                  const soc::SocConfig &cfg, const AppSpec &trainApp,
+                  const AppSpec &evalApp, unsigned iterations,
+                  unsigned every, const RuntimeKnobs &knobs)
+{
+    std::vector<std::vector<PhaseResult>> curve;
+    const auto evaluate = [&] {
+        policy.freeze();
+        curve.push_back(runPolicyOnApp(policy, cfg, evalApp, knobs).phases);
+        policy.unfreeze();
+    };
+    evaluate();
+    for (unsigned it = 1; it <= iterations; ++it) {
+        runTrainingIteration(policy, cfg, trainApp, knobs);
+        if (it % every == 0)
+            evaluate();
+    }
+    policy.freeze();
+    return curve;
+}
+
 CellResult
 runProtocolCell(const ScenarioSpec &s,
                 const TransferModels *transferModels)
@@ -309,6 +356,7 @@ runProtocolCell(const ScenarioSpec &s,
     eopts.appParams = s.appParams;
     if (s.trainApp == TrainAppShape::kDense)
         eopts.trainAppParams = denseTrainingParams();
+    eopts.weights = s.weights;
     eopts.agentSeed = s.agentSeed;
     eopts.explore = s.explore;
     eopts.model = s.model;
@@ -341,12 +389,13 @@ runProtocolCell(const ScenarioSpec &s,
 
     const bool wantsModelFlow =
         !s.loadModel.empty() || !s.saveModel.empty() ||
-        s.trainShards > 0 ||
+        s.trainShards > 0 || s.evalEvery > 0 ||
         (transferModels != nullptr && s.policy == "cohmeleon");
 
     if (!wantsModelFlow && !s.captureStats) {
-        // The paper's plain protocol — the exact code path the figure
-        // benches used before the campaign layer existed.
+        // The paper's plain protocol in one call. That call owns the
+        // policy, so an online cell here reports no model counts; the
+        // benchmark's sweep digests pin those zeros.
         out.phases = runProtocolForPolicy(s.policy, cfg, eopts,
                                           trainApp, evalApp, knobs);
         if (s.policy == "cohmeleon") {
@@ -366,7 +415,7 @@ runProtocolCell(const ScenarioSpec &s,
         dynamic_cast<policy::CohmeleonPolicy *>(policy.get());
     fatalIf(cohm == nullptr &&
                 (!s.loadModel.empty() || !s.saveModel.empty() ||
-                 s.trainShards > 0),
+                 s.trainShards > 0 || s.evalEvery > 0),
             "the model/training options only apply to the cohmeleon "
             "policy (cell '", s.name, "' runs ", s.policy, ")");
 
@@ -380,6 +429,12 @@ runProtocolCell(const ScenarioSpec &s,
                 "cell '", s.name,
                 "' both loads a model and asks for sharded training "
                 "(load-model replaces training)");
+        fatalIf(s.evalEvery > 0 &&
+                    (!s.loadModel.empty() || s.trainShards > 0 ||
+                     transferModels != nullptr),
+                "cell '", s.name,
+                "': eval-every traces online training, but the cell "
+                "loads, shards or transfers its model");
         if (!s.loadModel.empty()) {
             const policy::PolicyCheckpoint ckpt =
                 policy::PolicyCheckpoint::loadFile(s.loadModel);
@@ -433,8 +488,13 @@ runProtocolCell(const ScenarioSpec &s,
             t.invocations = tres.totalInvocations;
             summarizeModel(t, tres.checkpoint);
         } else {
-            trainCohmeleon(*cohm, cfg, trainApp,
-                           eopts.trainIterations, knobs);
+            if (s.evalEvery > 0)
+                out.curvePhases = trainTracingCurve(
+                    *cohm, cfg, trainApp, evalApp,
+                    eopts.trainIterations, s.evalEvery, knobs);
+            else
+                trainCohmeleon(*cohm, cfg, trainApp,
+                               eopts.trainIterations, knobs);
             t.source = TrainSummary::Source::kOnline;
             t.invocations = static_cast<std::uint64_t>(
                                 trainApp.totalInvocations()) *
@@ -672,6 +732,9 @@ normalizeGroups(const CampaignSpec &spec, CampaignResult &result,
             c.geoDdr = n.geoDdr;
             c.execNorm = std::move(n.execNorm);
             c.ddrNorm = std::move(n.ddrNorm);
+            c.curve.clear();
+            for (const std::vector<PhaseResult> &point : c.curvePhases)
+                c.curve.push_back(normalizePhases(point, base));
         }
     }
 }
@@ -824,6 +887,40 @@ runScenario(const ScenarioSpec &spec)
 
 // ------------------------------------------------------------- results
 
+namespace
+{
+
+/** A `records = true` cell's detail (Figures 5 and 7): each phase's
+ *  name and norms, then the decisions per size class and mode. */
+void
+reportRecords(JsonReporter &rep, const std::string &p,
+              const CellResult &c)
+{
+    for (std::size_t k = 0; k < c.phases.size(); ++k) {
+        const std::string q = p + ".phase" + std::to_string(k);
+        rep.addString(q + ".name", c.phases[k].name);
+        if (k < c.execNorm.size()) {
+            rep.add(q + ".exec_norm", c.execNorm[k]);
+            rep.add(q + ".ddr_norm", c.ddrNorm[k]);
+        }
+    }
+    const soc::SocConfig cfg = resolveSoc(c.scenario);
+    using Counts = std::array<std::uint64_t, coh::kNumModes>;
+    std::map<SizeClass, Counts> byClass;
+    for (const PhaseResult &ph : c.phases)
+        for (const rt::InvocationRecord &rec : ph.invocations)
+            ++byClass[classifyFootprint(rec.footprintBytes, cfg)]
+                     [static_cast<unsigned>(rec.mode)];
+    for (const auto &[cls, counts] : byClass)
+        for (coh::CoherenceMode m : coh::kAllModes)
+            rep.add(p + ".modes." + toString(cls) + "." +
+                        std::string(coh::toString(m)),
+                    static_cast<double>(
+                        counts[static_cast<unsigned>(m)]));
+}
+
+} // namespace
+
 std::vector<std::size_t>
 CampaignResult::groupCells(std::size_t group) const
 {
@@ -920,6 +1017,16 @@ CampaignResult::report(JsonReporter &rep) const
             rep.addString(p + ".entries_covered",
                           std::to_string(c.training.entriesCovered));
         }
+        // Opt-in detail, so cells without these keys keep their bytes.
+        if (c.scenario.collectRecords)
+            reportRecords(rep, p, c);
+        if (c.scenario.evalEvery > 0) {
+            for (std::size_t j = 0; j < c.curve.size(); ++j) {
+                const std::string q = p + ".curve" + std::to_string(j);
+                rep.add(q + ".geo_exec", c.curve[j].geoExec);
+                rep.add(q + ".geo_ddr", c.curve[j].geoDdr);
+            }
+        }
     }
 }
 
@@ -929,6 +1036,47 @@ CampaignResult::json() const
     JsonReporter rep(name);
     report(rep);
     return rep.str();
+}
+
+std::optional<HeadlineSummary>
+headlineSummary(const CampaignResult &result)
+{
+    HeadlineSummary h;
+    unsigned pairs = 0;
+    unsigned learners = 0;
+    for (std::size_t g = 0; g < result.groupCount; ++g) {
+        std::vector<const CellResult *> cohm;
+        std::vector<const CellResult *> fixed;
+        for (std::size_t i : result.groupCells(g)) {
+            const CellResult &c = result.cells[i];
+            if (c.failed || c.execNorm.empty())
+                continue;
+            if (learns(c.scenario))
+                cohm.push_back(&c);
+            else if (c.scenario.policy.rfind("fixed-", 0) == 0)
+                fixed.push_back(&c);
+        }
+        if (fixed.empty())
+            continue;
+        for (const CellResult *a : cohm) {
+            for (const CellResult *f : fixed) {
+                h.speedupVsFixed += f->geoExec / a->geoExec - 1.0;
+                h.ddrReductionVsFixed +=
+                    1.0 - a->geoDdr / std::max(f->geoDdr, 1e-9);
+                ++pairs;
+            }
+            h.speedupVsBaseline += 1.0 / a->geoExec - 1.0;
+            h.ddrReductionVsBaseline += 1.0 - a->geoDdr;
+            ++learners;
+        }
+    }
+    if (pairs == 0)
+        return std::nullopt;
+    h.speedupVsFixed /= pairs;
+    h.ddrReductionVsFixed /= pairs;
+    h.speedupVsBaseline /= learners;
+    h.ddrReductionVsBaseline /= learners;
+    return h;
 }
 
 void

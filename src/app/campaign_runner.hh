@@ -15,14 +15,15 @@
  * byte-identical for any --jobs value (tests assert this).
  *
  * CampaignRunner is the one driver of the paper's protocol: every
- * policy sweep — campaigns, `cohmeleon_run compare`, the benchmark
- * sweeps and the figure benches — runs through it and reports
- * CellResults. The Figure-3 grid, the ablations and the cross-SoC
- * transfer study run only as campaigns registered in namedCampaign()
- * (`cohmeleon_run campaign fig3|ablation|transfer`); bench_fig9_socs
- * wraps the registered fig9 campaign, and fig5/fig6/fig7 build their
- * CampaignSpec inline. (fig6's reward-weight sweep calls the
- * protocol steps directly: a ScenarioSpec has no reward weights.)
+ * policy sweep — campaigns, `cohmeleon_run compare` and the benchmark
+ * sweeps — runs through it and reports CellResults. Every figure
+ * sweep is a campaign registered in namedCampaign() (`cohmeleon_run
+ * campaign fig3|fig5|fig6|fig7|fig8|fig9|ablation|transfer`); Figure 2
+ * and the Section-6 overhead are single isolated invocations, checked
+ * in tests/test_integration.cc. A figure's numbers sit in the campaign
+ * JSON: the per-cell geomeans, plus the per-phase norms and
+ * per-size-class mode counts of `records = true` cells (Figures 5 and
+ * 7) and the convergence curve of `eval-every` cells (Figure 8).
  */
 
 #ifndef COHMELEON_APP_CAMPAIGN_RUNNER_HH
@@ -30,6 +31,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,6 +84,12 @@ struct CellResult
     std::vector<PhaseResult> phases;
     std::vector<double> execNorm; ///< per phase, vs the group baseline
     std::vector<double> ddrNorm;
+
+    /// eval-every cells: the frozen evaluations before training and
+    /// after every eval-every-th iteration, raw and vs the group
+    /// baseline (point j follows j * eval-every iterations).
+    std::vector<std::vector<PhaseResult>> curvePhases;
+    std::vector<PhaseNorm> curve;
 
     /// Concurrent cells:
     std::vector<ConcurrentAccMean> accMeans;
@@ -187,6 +195,26 @@ class CampaignRunner
 void printOutcomeTable(std::ostream &os, const CampaignResult &result,
                        std::size_t group);
 
+/** Cohmeleon against the fixed policies, as the paper's headline
+ *  (38% speedup, 66% fewer off-chip accesses) states it. */
+struct HeadlineSummary
+{
+    /** Mean over (cohmeleon cell, fixed-* cell) pairs of one group of
+     *  fixed exec / cohmeleon exec - 1 and of 1 - cohmeleon DDR /
+     *  fixed DDR. */
+    double speedupVsFixed = 0.0;
+    double ddrReductionVsFixed = 0.0;
+    /** Mean over cohmeleon cells of 1 / exec - 1 and 1 - DDR, both
+     *  already relative to the group baseline. */
+    double speedupVsBaseline = 0.0;
+    double ddrReductionVsBaseline = 0.0;
+};
+
+/** The headline over every normalized group that holds both a
+ *  cohmeleon cell and fixed-* cells; nullopt when no group does. */
+std::optional<HeadlineSummary> headlineSummary(
+    const CampaignResult &result);
+
 /**
  * Execute one scenario cell in isolation — the CLI `run`
  * subcommand's unit. Pure function of @p spec (modulo the files it
@@ -194,15 +222,15 @@ void printOutcomeTable(std::ostream &os, const CampaignResult &result,
  */
 CellResult runScenario(const ScenarioSpec &spec);
 
-/** Names of the registered campaigns ("fig3", "fig9", "ablation",
- *  "transfer", "smoke", "faulty"). */
+/** Names of the registered campaigns ("fig3", "fig5" ... "fig9",
+ *  "ablation", "transfer", "smoke", "faulty"). */
 const std::vector<std::string> &namedCampaignNames();
 bool isNamedCampaign(const std::string &name);
 
 /**
  * Look up a registered campaign. @p fullScale (`campaign --full`)
- * selects the paper-scale variant of fig3, ablation and transfer;
- * the other campaigns have one scale.
+ * selects the paper-scale variant of the figure campaigns, the
+ * ablations and transfer; fig9, smoke and faulty have one scale.
  * @throws FatalError for unknown names
  */
 CampaignSpec namedCampaign(const std::string &name, bool fullScale);

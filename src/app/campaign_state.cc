@@ -89,6 +89,15 @@ struct Cursor
 
     bool atEnd() const { return pos >= text.size(); }
 
+    /** Whether the next line starts with the word @p keyword. */
+    bool
+    peekKeyword(const std::string &keyword) const
+    {
+        return text.compare(pos, keyword.size(), keyword) == 0 &&
+               pos + keyword.size() < text.size() &&
+               text[pos + keyword.size()] == ' ';
+    }
+
     /** Next physical line (without the newline). */
     std::string
     nextLine()
@@ -207,6 +216,77 @@ expectLine(Cursor &cur, const char *keyword, std::size_t nFields,
     return f;
 }
 
+void
+writePhases(std::ostream &os, const std::vector<PhaseResult> &phases)
+{
+    os << "phases " << phases.size() << '\n';
+    for (const PhaseResult &p : phases) {
+        os << "phase " << p.startTime << ' ' << p.endTime << ' '
+           << p.execCycles << ' ' << p.ddrAccesses << ' '
+           << p.invocations.size() << ' ' << p.name << '\n';
+        for (const rt::InvocationRecord &iv : p.invocations) {
+            os << "invoc " << iv.acc << ' ' << coh::toString(iv.mode)
+               << ' ' << iv.footprintBytes << ' ' << iv.invokeTime
+               << ' ' << iv.endTime << ' ' << iv.wallCycles << ' '
+               << iv.flushCycles << ' ' << iv.tlbCycles << ' '
+               << iv.swOverheadCycles << ' ' << iv.accTotalCycles
+               << ' ' << iv.accCommCycles << ' '
+               << fmtDouble(iv.ddrApprox) << ' ' << iv.ddrExact << ' '
+               << iv.ddrMonitorDelta << ' ' << iv.policyTag << ' '
+               << iv.accType << '\n';
+        }
+    }
+}
+
+std::vector<PhaseResult>
+readPhases(Cursor &cur)
+{
+    std::vector<PhaseResult> phases;
+    const Fields f = expectLine(cur, "phases", 1);
+    const std::size_t n = f.u64(0);
+    phases.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const Fields pf =
+            expectLine(cur, "phase", 5, /*hasRest=*/true);
+        PhaseResult p;
+        p.startTime = pf.u64(0);
+        p.endTime = pf.u64(1);
+        p.execCycles = pf.u64(2);
+        p.ddrAccesses = pf.u64(3);
+        const std::size_t nInvocs = pf.u64(4);
+        p.name = pf.rest;
+        p.invocations.reserve(nInvocs);
+        for (std::size_t k = 0; k < nInvocs; ++k) {
+            const Fields ivf =
+                expectLine(cur, "invoc", 15, /*hasRest=*/true);
+            rt::InvocationRecord iv;
+            iv.acc = static_cast<AccId>(ivf.u64(0));
+            try {
+                iv.mode = coh::modeFromString(ivf.tokens[1]);
+            } catch (const FatalError &e) {
+                ivf.fail(e.what());
+            }
+            iv.footprintBytes = ivf.u64(2);
+            iv.invokeTime = ivf.u64(3);
+            iv.endTime = ivf.u64(4);
+            iv.wallCycles = ivf.u64(5);
+            iv.flushCycles = ivf.u64(6);
+            iv.tlbCycles = ivf.u64(7);
+            iv.swOverheadCycles = ivf.u64(8);
+            iv.accTotalCycles = ivf.u64(9);
+            iv.accCommCycles = ivf.u64(10);
+            iv.ddrApprox = ivf.dbl(11);
+            iv.ddrExact = ivf.u64(12);
+            iv.ddrMonitorDelta = ivf.u64(13);
+            iv.policyTag = ivf.u64(14);
+            iv.accType = ivf.rest;
+            p.invocations.push_back(std::move(iv));
+        }
+        phases.push_back(std::move(p));
+    }
+    return phases;
+}
+
 } // namespace
 
 std::string
@@ -226,22 +306,13 @@ serializeCellResult(const CellResult &r)
     os << "failed " << (r.failed ? 1 : 0) << '\n';
     writeRawBlock(os, "error", r.error);
 
-    os << "phases " << r.phases.size() << '\n';
-    for (const PhaseResult &p : r.phases) {
-        os << "phase " << p.startTime << ' ' << p.endTime << ' '
-           << p.execCycles << ' ' << p.ddrAccesses << ' '
-           << p.invocations.size() << ' ' << p.name << '\n';
-        for (const rt::InvocationRecord &iv : p.invocations) {
-            os << "invoc " << iv.acc << ' ' << coh::toString(iv.mode)
-               << ' ' << iv.footprintBytes << ' ' << iv.invokeTime
-               << ' ' << iv.endTime << ' ' << iv.wallCycles << ' '
-               << iv.flushCycles << ' ' << iv.tlbCycles << ' '
-               << iv.swOverheadCycles << ' ' << iv.accTotalCycles
-               << ' ' << iv.accCommCycles << ' '
-               << fmtDouble(iv.ddrApprox) << ' ' << iv.ddrExact << ' '
-               << iv.ddrMonitorDelta << ' ' << iv.policyTag << ' '
-               << iv.accType << '\n';
-        }
+    writePhases(os, r.phases);
+    // Only eval-every cells carry a curve; the block is absent
+    // otherwise, so their files keep the bytes they always had.
+    if (!r.curvePhases.empty()) {
+        os << "curve " << r.curvePhases.size() << '\n';
+        for (const std::vector<PhaseResult> &point : r.curvePhases)
+            writePhases(os, point);
     }
 
     os << "accmeans " << r.accMeans.size() << '\n';
@@ -302,49 +373,12 @@ parseCellResult(const std::string &text, const std::string &context)
         r.error = cur.rawBlock(f.u64(0));
     }
 
-    {
-        const Fields f = expectLine(cur, "phases", 1);
+    r.phases = readPhases(cur);
+    if (cur.peekKeyword("curve")) {
+        const Fields f = expectLine(cur, "curve", 1);
         const std::size_t n = f.u64(0);
-        r.phases.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const Fields pf =
-                expectLine(cur, "phase", 5, /*hasRest=*/true);
-            PhaseResult p;
-            p.startTime = pf.u64(0);
-            p.endTime = pf.u64(1);
-            p.execCycles = pf.u64(2);
-            p.ddrAccesses = pf.u64(3);
-            const std::size_t nInvocs = pf.u64(4);
-            p.name = pf.rest;
-            p.invocations.reserve(nInvocs);
-            for (std::size_t k = 0; k < nInvocs; ++k) {
-                const Fields ivf =
-                    expectLine(cur, "invoc", 15, /*hasRest=*/true);
-                rt::InvocationRecord iv;
-                iv.acc = static_cast<AccId>(ivf.u64(0));
-                try {
-                    iv.mode = coh::modeFromString(ivf.tokens[1]);
-                } catch (const FatalError &e) {
-                    ivf.fail(e.what());
-                }
-                iv.footprintBytes = ivf.u64(2);
-                iv.invokeTime = ivf.u64(3);
-                iv.endTime = ivf.u64(4);
-                iv.wallCycles = ivf.u64(5);
-                iv.flushCycles = ivf.u64(6);
-                iv.tlbCycles = ivf.u64(7);
-                iv.swOverheadCycles = ivf.u64(8);
-                iv.accTotalCycles = ivf.u64(9);
-                iv.accCommCycles = ivf.u64(10);
-                iv.ddrApprox = ivf.dbl(11);
-                iv.ddrExact = ivf.u64(12);
-                iv.ddrMonitorDelta = ivf.u64(13);
-                iv.policyTag = ivf.u64(14);
-                iv.accType = ivf.rest;
-                p.invocations.push_back(std::move(iv));
-            }
-            r.phases.push_back(std::move(p));
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            r.curvePhases.push_back(readPhases(cur));
     }
 
     {

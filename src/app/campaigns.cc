@@ -1,14 +1,16 @@
 /**
  * @file
- * The registered (named) campaigns: the Figure 3/9 sweeps, the
- * ablations and the cross-SoC transfer study, plus the tiny CI smoke
- * grids. Each is an ordinary CampaignSpec value — `cohmeleon_run
- * campaign <name>` runs them (bench_fig9_socs also wraps fig9) and
- * serializeCampaign() prints them, so every figure sweep is also a
- * readable, forkable text file.
+ * The registered (named) campaigns: one per figure sweep of the
+ * evaluation (Figures 3 and 5-9), the ablations and the cross-SoC
+ * transfer study, plus the tiny CI smoke grids. Each is an ordinary
+ * CampaignSpec value — `cohmeleon_run campaign <name> [--full]` runs
+ * it and serializeCampaign() prints it, so every figure sweep is also
+ * a readable, forkable text file.
  */
 
 #include "app/campaign_runner.hh"
+
+#include <cstdio>
 
 #include "app/experiment.hh"
 #include "sim/logging.hh"
@@ -40,10 +42,130 @@ fig3Campaign(bool fullScale)
     return c;
 }
 
+/** Figure 5: the four named phases of the figure app on SoC0 under
+ *  the eight policies; Cohmeleon still trains on a dense random
+ *  instance. The records put each phase's norms in the JSON. */
+CampaignSpec
+fig5Campaign(bool fullScale)
+{
+    CampaignSpec c;
+    c.name = "fig5";
+    c.base.name = "fig5";
+    c.base.soc = "soc0";
+    c.base.appSource = AppSource::kFigure;
+    c.base.figureName = "fig5";
+    c.base.trainApp = TrainAppShape::kDense;
+    c.base.trainIterations = fullScale ? 20 : 12;
+    c.base.collectRecords = true;
+    c.policies = standardPolicyNames();
+    c.baseline = "fixed-non-coh-dma";
+    return c;
+}
+
+/** Figure 6: the reward-function design space. Fifteen (x, y, z)
+ *  weightings of (exec time, comm ratio, off-chip accesses) each
+ *  train their own, independently seeded Cohmeleon model, beside the
+ *  six baseline policies. The default scale runs on SoC1; --full runs
+ *  SoC0 with the paper's 50 iterations. */
+CampaignSpec
+fig6Campaign(bool fullScale)
+{
+    CampaignSpec c;
+    c.name = "fig6";
+    c.baseline = "fixed-non-coh-dma";
+    c.base.name = "fig6";
+    c.base.soc = fullScale ? "soc0" : "soc1";
+    c.base.trainIterations = fullScale ? 50 : 10;
+    c.base.appParams = denseTrainingParams();
+
+    for (const char *policy :
+         {"fixed-non-coh-dma", "fixed-llc-coh-dma", "fixed-coh-dma",
+          "fixed-full-coh", "rand", "manual"}) {
+        ScenarioSpec cell = c.base;
+        cell.name = policy;
+        cell.policy = policy;
+        c.cells.push_back(cell);
+    }
+
+    // The paper's two called-out Pareto points (default, then b),
+    // corners, the >90%-off-chip weightings expected to do poorly,
+    // and spreads.
+    const rl::RewardWeights weightings[] = {
+        {0.675, 0.075, 0.25}, {0.125, 0.125, 0.75}, {1.0, 0.0, 0.0},
+        {0.0, 1.0, 0.0},      {0.0, 0.05, 0.95},    {0.05, 0.0, 0.95},
+        {0.33, 0.33, 0.34},   {0.5, 0.25, 0.25},    {0.25, 0.5, 0.25},
+        {0.25, 0.25, 0.5},    {0.8, 0.1, 0.1},      {0.1, 0.8, 0.1},
+        {0.6, 0.0, 0.4},      {0.4, 0.2, 0.4},      {0.9, 0.05, 0.05},
+    };
+    std::uint64_t seed = 7;
+    for (const rl::RewardWeights &w : weightings) {
+        char name[48];
+        std::snprintf(name, sizeof(name), "reward-%.1f-%.1f-%.1f",
+                      100 * w.exec, 100 * w.comm, 100 * w.mem);
+        ScenarioSpec cell = c.base;
+        cell.name = name;
+        cell.policy = "cohmeleon";
+        cell.weights = w;
+        cell.agentSeed = seed;
+        seed += 13;
+        c.cells.push_back(cell);
+    }
+    return c;
+}
+
+/** Figure 7: the coherence decisions of Cohmeleon and of the manual
+ *  Algorithm 1 on SoC0. The records put the decisions per size class
+ *  and mode in the JSON. */
+CampaignSpec
+fig7Campaign(bool fullScale)
+{
+    CampaignSpec c;
+    c.name = "fig7";
+    c.base.name = "fig7";
+    c.base.soc = "soc0";
+    c.base.appParams = denseTrainingParams();
+    c.base.trainIterations = fullScale ? 20 : 10;
+    c.base.collectRecords = true;
+    c.policies = {"fixed-non-coh-dma", "manual", "cohmeleon"};
+    c.baseline = "fixed-non-coh-dma";
+    return c;
+}
+
+/** Figure 8: performance over training time. One Cohmeleon cell per
+ *  decay horizon traces its convergence curve (a frozen evaluation
+ *  after every training iteration; point 0 is the untrained model).
+ *  The default scale runs horizons 10 and 20 on SoC1; --full runs 10,
+ *  30 and 50 on SoC0, as the paper does. */
+CampaignSpec
+fig8Campaign(bool fullScale)
+{
+    CampaignSpec c;
+    c.name = "fig8";
+    c.baseline = "fixed-non-coh-dma";
+    c.base.name = "fig8";
+    c.base.soc = fullScale ? "soc0" : "soc1";
+    c.base.appParams = denseTrainingParams();
+
+    ScenarioSpec cell = c.base;
+    cell.name = "fixed-non-coh-dma";
+    cell.policy = "fixed-non-coh-dma";
+    c.cells.push_back(cell);
+    for (unsigned horizon : fullScale ? std::vector<unsigned>{10, 30, 50}
+                                      : std::vector<unsigned>{10, 20}) {
+        cell = c.base;
+        cell.name = "cohmeleon-" + std::to_string(horizon);
+        cell.policy = "cohmeleon";
+        cell.trainIterations = horizon;
+        cell.evalEvery = 1;
+        c.cells.push_back(cell);
+    }
+    return c;
+}
+
 /** Figure 9 + Table 4: the eight SoC configurations under the eight
  *  policies, normalized per SoC to fixed non-coherent DMA. It has one
- *  scale: namedCampaign() does not pass fullScale here, so --full and
- *  COHMELEON_BENCH_FULL=1 leave the fig9 sweep unchanged. */
+ *  scale: namedCampaign() does not pass fullScale here, so --full
+ *  leaves the fig9 sweep unchanged. */
 CampaignSpec
 fig9Campaign()
 {
@@ -60,9 +182,9 @@ fig9Campaign()
     return c;
 }
 
-/** The ablations on SoC1 (README "Named campaigns and the figure
- *  benches"): DDR-attribution scheme and Algorithm-1 threshold
- *  sensitivity, as hand-picked cells. */
+/** The ablations on SoC1 (README "Named campaigns"): DDR-attribution
+ *  scheme and Algorithm-1 threshold sensitivity, as hand-picked
+ *  cells. */
 CampaignSpec
 ablationCampaign(bool fullScale)
 {
@@ -193,6 +315,10 @@ namedCampaignNames()
 {
     static const std::vector<std::string> names = {
         "fig3",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
         "fig9",
         "ablation",
         "transfer",
@@ -216,6 +342,14 @@ namedCampaign(const std::string &name, bool fullScale)
 {
     if (name == "fig3")
         return fig3Campaign(fullScale);
+    if (name == "fig5")
+        return fig5Campaign(fullScale);
+    if (name == "fig6")
+        return fig6Campaign(fullScale);
+    if (name == "fig7")
+        return fig7Campaign(fullScale);
+    if (name == "fig8")
+        return fig8Campaign(fullScale);
     if (name == "fig9")
         return fig9Campaign();
     if (name == "ablation")

@@ -129,7 +129,7 @@ std::unique_ptr<rt::CoherencePolicy> makePolicyByName(
  * app (one iteration = one full app instance), decaying the schedule
  * after each, then freeze. @p knobs apply to every training SoC (the
  * attribution ablation trains through them). Returns per-iteration
- * training app results (used by the Figure-8 bench).
+ * training app results.
  */
 std::vector<AppResult> trainCohmeleon(policy::CohmeleonPolicy &policy,
                                       const soc::SocConfig &cfg,
@@ -199,8 +199,8 @@ struct PhaseNorm
 };
 
 /**
- * The protocol's normalization step, the one every figure, campaign
- * and bench uses: per phase, exec cycles and DDR accesses as a ratio
+ * The protocol's normalization step, the one every campaign and
+ * figure uses: per phase, exec cycles and DDR accesses as a ratio
  * of the baseline's (a zero baseline gives 1 for a zero value and 2
  * otherwise), then the geometric mean of each ratio vector with every
  * ratio floored at 1e-9 so a zero-cost phase cannot zero the mean.

@@ -1,6 +1,7 @@
 #include "app/scenario.hh"
 
 #include <cctype>
+#include <cmath>
 #include <istream>
 #include <sstream>
 
@@ -38,6 +39,26 @@ parseModeListAt(const std::string &text, unsigned lineNo)
         }
     }
     return mask;
+}
+
+/** "x, y, z": three finite, non-negative weights, not all zero. */
+rl::RewardWeights
+parseRewardAt(const std::string &text, unsigned lineNo)
+{
+    const std::vector<std::string> parts = splitList(text, ',');
+    if (parts.size() != 3)
+        lineFatal(lineNo, "reward needs three weights (exec, comm, "
+                          "mem), got " + std::to_string(parts.size()));
+    double w[3];
+    for (std::size_t i = 0; i < 3; ++i) {
+        w[i] = parseDoubleAt(parts[i], lineNo);
+        if (!std::isfinite(w[i]) || w[i] < 0.0)
+            lineFatal(lineNo, "reward weight '" + trimText(parts[i]) +
+                                  "' must be finite and non-negative");
+    }
+    if (w[0] + w[1] + w[2] <= 0.0)
+        lineFatal(lineNo, "reward weights must not all be zero");
+    return {w[0], w[1], w[2]};
 }
 
 } // namespace
@@ -144,6 +165,12 @@ applyScenarioKey(ScenarioSpec &s, const ConfigLine &l)
         s.explore = parseAt(rl::exploreSpecFromString, value, no);
     } else if (key == "model") {
         s.model = parseAt(rl::modelSpecFromString, value, no);
+    } else if (key == "reward") {
+        s.weights = parseRewardAt(value, no);
+    } else if (key == "eval-every") {
+        s.evalEvery = parseU32At(value, no, 1'000'000);
+        if (s.evalEvery == 0)
+            lineFatal(no, "eval-every must be positive");
     } else if (key == "load-model") {
         s.loadModel = value;
     } else if (key == "save-model") {
@@ -461,8 +488,9 @@ modeListText(coh::ModeMask mask)
     return out;
 }
 
-/** Emit every scenario key (canonical form: no defaults omitted, so
- *  round-trips are exact and diffs are stable). */
+/** Emit every scenario key (canonical form: defaults included, so
+ *  round-trips are exact and diffs are stable; the later keys noted
+ *  below are the exception). */
 void
 writeScenarioKeys(std::ostream &os, const ScenarioSpec &s,
                   bool withName)
@@ -516,6 +544,14 @@ writeScenarioKeys(std::ostream &os, const ScenarioSpec &s,
     os << "merge = " << rl::toString(s.merge) << '\n';
     os << "explore = " << rl::toString(s.explore) << '\n';
     os << "model = " << rl::toString(s.model) << '\n';
+    // Keys added after the format settled appear only off their
+    // defaults, so older specs keep their canonical bytes.
+    if (!(s.weights == rl::RewardWeights{}))
+        os << "reward = " << fmtDouble(s.weights.exec) << ", "
+           << fmtDouble(s.weights.comm) << ", "
+           << fmtDouble(s.weights.mem) << '\n';
+    if (s.evalEvery != 0)
+        os << "eval-every = " << s.evalEvery << '\n';
     if (!s.loadModel.empty())
         os << "load-model = " << s.loadModel << '\n';
     if (!s.saveModel.empty())

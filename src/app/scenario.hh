@@ -59,6 +59,7 @@
 #include "app/random_app.hh"
 #include "coh/coherence_mode.hh"
 #include "rl/learned_model.hh"
+#include "rl/reward.hh"
 #include "rl/strategy.hh"
 #include "soc/soc_presets.hh"
 
@@ -141,6 +142,13 @@ struct ScenarioSpec
     /** Cohmeleon's learned-model backend. A "cohmeleon@MODEL" policy
      *  string overrides it for that cell. */
     rl::ModelSpec model;
+    /** Cohmeleon's reward weighting (x, y, z) of Section 4.2, the
+     *  Figure-6 design-space knob. */
+    rl::RewardWeights weights;
+    /** > 0: trace the Figure-8 convergence curve — a frozen
+     *  evaluation on the evaluation app before online training and
+     *  after every evalEvery-th iteration (CellResult::curve). */
+    unsigned evalEvery = 0;
     std::string loadModel;    ///< checkpoint path replacing training
     std::string saveModel;    ///< persist the trained checkpoint
     /** Force-freeze a restored checkpoint (the CLI --eval split).

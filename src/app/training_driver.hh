@@ -78,8 +78,8 @@ struct TrainingResult
 /**
  * One training pass: run @p trainApp once on a fresh SoC (with
  * @p knobs applied) with @p policy learning online, then advance the
- * decay schedule. The unit both trainCohmeleon() and the Figure-8
- * bench are built from.
+ * decay schedule. The unit trainCohmeleon(), the sharded trainer and
+ * an eval-every cell's convergence curve are built from.
  */
 AppResult runTrainingIteration(policy::CohmeleonPolicy &policy,
                                const soc::SocConfig &cfg,

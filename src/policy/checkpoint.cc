@@ -8,6 +8,7 @@
 
 #include "sim/atomic_file.hh"
 #include "sim/logging.hh"
+#include "sim/text_tokens.hh"
 
 namespace cohmeleon::policy
 {
@@ -17,32 +18,13 @@ namespace
 
 constexpr const char *kMagic = "cohmeleon-checkpoint";
 
-/** Read one labelled token and fail loudly when it is missing. */
-template <typename T>
-T
-expect(std::istream &is, const char *what)
-{
-    T value{};
-    is >> value;
-    fatalIf(!is, "checkpoint truncated or unparseable at ", what);
-    return value;
-}
-
 double
-expectFinite(std::istream &is, const char *what)
+expectFinite(TokenReader &in, const char *what)
 {
-    const double v = expect<double>(is, what);
+    const double v = in.expect<double>(what);
     fatalIf(!std::isfinite(v), "non-finite value in checkpoint at ",
             what);
     return v;
-}
-
-void
-expectKeyword(std::istream &is, const char *keyword)
-{
-    const std::string got = expect<std::string>(is, keyword);
-    fatalIf(got != keyword, "malformed checkpoint: expected '",
-            keyword, "', got '", got, "'");
 }
 
 } // namespace
@@ -107,32 +89,33 @@ PolicyCheckpoint
 PolicyCheckpoint::load(std::istream &is)
 {
     PolicyCheckpoint c;
+    TokenReader in(is, "checkpoint");
 
-    const std::string magic = expect<std::string>(is, "magic");
+    const std::string magic = in.expect<std::string>("magic");
     fatalIf(magic != kMagic, "not a Cohmeleon checkpoint (magic '",
             magic, "')");
-    const unsigned version = expect<unsigned>(is, "version");
+    const unsigned version = in.expect<unsigned>("version");
     fatalIf(version < kOldestVersion || version > kVersion,
             "unsupported checkpoint version ", version,
             " (this build reads versions ", kOldestVersion,
             " through ", kVersion, ")");
 
-    expectKeyword(is, "weights");
-    c.weights.exec = expectFinite(is, "weights.exec");
-    c.weights.comm = expectFinite(is, "weights.comm");
-    c.weights.mem = expectFinite(is, "weights.mem");
+    in.expectKeyword("weights");
+    c.weights.exec = expectFinite(in, "weights.exec");
+    c.weights.comm = expectFinite(in, "weights.comm");
+    c.weights.mem = expectFinite(in, "weights.mem");
     fatalIf(c.weights.exec < 0.0 || c.weights.comm < 0.0 ||
                 c.weights.mem < 0.0 ||
                 c.weights.exec + c.weights.comm + c.weights.mem <= 0.0,
             "invalid reward weights in checkpoint");
 
-    expectKeyword(is, "agent");
-    c.agent.epsilon0 = expectFinite(is, "agent.epsilon0");
-    c.agent.alpha0 = expectFinite(is, "agent.alpha0");
-    c.agent.decayIterations = expect<unsigned>(is, "agent.decay");
-    c.agent.seed = expect<std::uint64_t>(is, "agent.seed");
-    c.iteration = expect<unsigned>(is, "agent.iteration");
-    const unsigned frozen = expect<unsigned>(is, "agent.frozen");
+    in.expectKeyword("agent");
+    c.agent.epsilon0 = expectFinite(in, "agent.epsilon0");
+    c.agent.alpha0 = expectFinite(in, "agent.alpha0");
+    c.agent.decayIterations = in.expect<unsigned>("agent.decay");
+    c.agent.seed = in.expect<std::uint64_t>("agent.seed");
+    c.iteration = in.expect<unsigned>("agent.iteration");
+    const unsigned frozen = in.expect<unsigned>("agent.frozen");
     fatalIf(frozen > 1, "invalid frozen flag in checkpoint");
     c.frozen = frozen == 1;
     fatalIf(c.agent.epsilon0 < 0.0 || c.agent.epsilon0 > 1.0 ||
@@ -145,13 +128,13 @@ PolicyCheckpoint::load(std::istream &is)
         // to the defaults (the paper's linear decay, the PR-3
         // visit-weighted fold) — exactly the behavior they were
         // trained under.
-        expectKeyword(is, "explore");
+        in.expectKeyword("explore");
         try {
             c.agent.explore = rl::exploreSpecFromString(
-                expect<std::string>(is, "explore spec"));
-            expectKeyword(is, "merge");
+                in.expect<std::string>("explore spec"));
+            in.expectKeyword("merge");
             c.merge = rl::mergeSpecFromString(
-                expect<std::string>(is, "merge spec"));
+                in.expect<std::string>("merge spec"));
         } catch (const FatalError &e) {
             fatal("malformed strategy in checkpoint: ", e.what());
         }
@@ -160,19 +143,19 @@ PolicyCheckpoint::load(std::istream &is)
     if (version >= 3) {
         // v3: the model backend. v1/v2 streams predate the model axis
         // and stay on the tabular default they were trained as.
-        expectKeyword(is, "model");
+        in.expectKeyword("model");
         try {
             c.agent.model = rl::modelSpecFromString(
-                expect<std::string>(is, "model spec"));
+                in.expect<std::string>("model spec"));
         } catch (const FatalError &e) {
             fatal("malformed model in checkpoint: ", e.what());
         }
         c.model = rl::Model(c.agent.model);
     }
 
-    expectKeyword(is, "rng");
+    in.expectKeyword("rng");
     for (int i = 0; i < 4; ++i)
-        c.rngState[i] = expect<std::uint64_t>(is, "rng state");
+        c.rngState[i] = in.expect<std::uint64_t>("rng state");
     fatalIf((c.rngState[0] | c.rngState[1] | c.rngState[2] |
              c.rngState[3]) == 0,
             "invalid (all-zero) RNG state in checkpoint");
@@ -186,11 +169,12 @@ PolicyCheckpoint::load(std::istream &is)
         fatal("malformed model block in checkpoint: ", e.what());
     }
 
-    expectKeyword(is, "tracker");
-    const auto entries = expect<std::size_t>(is, "tracker size");
+    in.expectKeyword("tracker");
+    const auto entries = in.expect<std::size_t>("tracker size");
     // One entry per accelerator: any real SoC has a handful. Validate
-    // before reserving — a corrupt (huge or sign-wrapped) count must
-    // throw FatalError, not std::length_error out of reserve().
+    // before reserving — a corrupt (huge) count must throw
+    // FatalError, not std::length_error out of reserve(). A signed
+    // count already failed in expect().
     constexpr std::size_t kMaxTrackerEntries = 1u << 20;
     fatalIf(entries > kMaxTrackerEntries,
             "implausible tracker entry count ", entries,
@@ -199,20 +183,20 @@ PolicyCheckpoint::load(std::istream &is)
     history.reserve(entries);
     for (std::size_t i = 0; i < entries; ++i) {
         rl::AccExtrema e;
-        e.acc = expect<std::uint32_t>(is, "tracker acc id");
+        e.acc = in.expect<std::uint32_t>("tracker acc id");
         fatalIf(!history.empty() && e.acc <= history.back().acc,
                 "tracker entries out of order in checkpoint");
-        e.minExec = expectFinite(is, "tracker minExec");
-        e.minComm = expectFinite(is, "tracker minComm");
-        e.minMem = expectFinite(is, "tracker minMem");
-        e.maxMem = expectFinite(is, "tracker maxMem");
+        e.minExec = expectFinite(in, "tracker minExec");
+        e.minComm = expectFinite(in, "tracker minComm");
+        e.minMem = expectFinite(in, "tracker minMem");
+        e.maxMem = expectFinite(in, "tracker maxMem");
         fatalIf(e.minMem > e.maxMem,
                 "tracker memory extrema inverted in checkpoint");
         history.push_back(e);
     }
     c.tracker.restore(history);
 
-    expectKeyword(is, "end");
+    in.expectKeyword("end");
     std::string trailing;
     is >> trailing;
     fatalIf(!trailing.empty(),

@@ -7,6 +7,7 @@
 
 #include "sim/atomic_file.hh"
 #include "sim/logging.hh"
+#include "sim/text_tokens.hh"
 
 namespace cohmeleon::policy
 {
@@ -15,24 +16,6 @@ namespace
 {
 
 constexpr const char *kMagic = "cohmeleon-serve-state";
-
-template <typename T>
-T
-expect(std::istream &is, const char *what)
-{
-    T value{};
-    is >> value;
-    fatalIf(!is, "serve state truncated or unparseable at ", what);
-    return value;
-}
-
-void
-expectKeyword(std::istream &is, const char *keyword)
-{
-    const std::string got = expect<std::string>(is, keyword);
-    fatalIf(got != keyword, "malformed serve state: expected '",
-            keyword, "', got '", got, "'");
-}
 
 } // namespace
 
@@ -56,10 +39,11 @@ ServeState
 ServeState::load(std::istream &is)
 {
     ServeState state;
-    const std::string magic = expect<std::string>(is, "magic");
+    TokenReader in(is, "serve state");
+    const std::string magic = in.expect<std::string>("magic");
     fatalIf(magic != kMagic, "not a Cohmeleon serve state (magic '",
             magic, "')");
-    const unsigned version = expect<unsigned>(is, "version");
+    const unsigned version = in.expect<unsigned>("version");
     fatalIf(version < kOldestVersion || version > kVersion,
             "unsupported serve state version ", version,
             " (this build reads versions ", kOldestVersion,
@@ -68,20 +52,20 @@ ServeState::load(std::istream &is)
     // the tabular default, byte-compatibly.
     rl::ModelSpec spec;
     if (version >= 2) {
-        expectKeyword(is, "model");
+        in.expectKeyword("model");
         try {
             spec = rl::modelSpecFromString(
-                expect<std::string>(is, "model spec"));
+                in.expect<std::string>("model spec"));
         } catch (const FatalError &e) {
             fatal("malformed model in serve state: ", e.what());
         }
     }
-    expectKeyword(is, "serving-gen");
-    state.servingGen = expect<std::uint64_t>(is, "serving generation");
+    in.expectKeyword("serving-gen");
+    state.servingGen = in.expect<std::uint64_t>("serving generation");
     state.serving = rl::Model(spec);
     state.serving.load(is);
-    expectKeyword(is, "staging");
-    const unsigned hasStaging = expect<unsigned>(is, "staging flag");
+    in.expectKeyword("staging");
+    const unsigned hasStaging = in.expect<unsigned>("staging flag");
     fatalIf(hasStaging > 1, "malformed serve state: staging flag ",
             hasStaging);
     state.hasStaging = hasStaging == 1;
@@ -89,7 +73,7 @@ ServeState::load(std::istream &is)
         state.staging = rl::Model(spec);
         state.staging.load(is);
     }
-    expectKeyword(is, "end");
+    in.expectKeyword("end");
     return state;
 }
 

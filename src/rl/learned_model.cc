@@ -8,6 +8,7 @@
 
 #include "rl/perceptron.hh"
 #include "sim/logging.hh"
+#include "sim/text_tokens.hh"
 
 namespace cohmeleon::rl
 {
@@ -288,7 +289,8 @@ TabularModel::load(std::istream &is)
                                "'qtable', got '", magic, "'");
     unsigned states = 0;
     unsigned actions = 0;
-    is >> states >> actions;
+    readCount(is, states);
+    readCount(is, actions);
     fatalIf(!is, "model block truncated at dimensions");
     fatalIf(states != StateTuple::kNumStates || actions != kNumActions,
             "Q-table dimensions ", states, "x", actions,
@@ -306,7 +308,7 @@ TabularModel::load(std::istream &is)
         }
         for (unsigned a = 0; a < kNumActions; ++a) {
             std::uint64_t visits = 0;
-            is >> visits;
+            readCount(is, visits);
             fatalIf(!is, "model block truncated or unparseable at "
                          "visit count (state ", s, " action ", a,
                          ")");

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "sim/logging.hh"
+#include "sim/text_tokens.hh"
 
 namespace cohmeleon::rl
 {
@@ -380,7 +381,9 @@ PerceptronModel::load(std::istream &is)
     unsigned tables = 0;
     unsigned bits = 0;
     std::uint64_t rows = 0;
-    is >> tables >> bits >> rows;
+    readCount(is, tables);
+    readCount(is, bits);
+    readCount(is, rows);
     fatalIf(!is, "model block truncated at dimensions");
     fatalIf(tables != spec_.tables || bits != spec_.bits,
             "perceptron dimensions tables=", tables, ",bits=", bits,
@@ -398,7 +401,8 @@ PerceptronModel::load(std::istream &is)
     for (std::uint64_t r = 0; r < rows; ++r) {
         unsigned t = 0;
         std::uint64_t b = 0;
-        is >> t >> b;
+        readCount(is, t);
+        readCount(is, b);
         fatalIf(!is, "model block truncated at perceptron row ", r);
         fatalIf(t >= spec_.tables || b >= buckets(),
                 "perceptron row (", t, ", ", b,
@@ -419,7 +423,7 @@ PerceptronModel::load(std::istream &is)
                     " action ", a);
         }
         for (unsigned a = 0; a < kNumActions; ++a) {
-            is >> e.visits[a];
+            readCount(is, e.visits[a]);
             fatalIf(!is, "model block truncated or unparseable at "
                          "perceptron visit count (row ", r,
                          " action ", a, ")");

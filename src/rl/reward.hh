@@ -32,6 +32,8 @@ struct RewardWeights
 
     /** Scale so the weights sum to 1. @throws FatalError if all 0 */
     RewardWeights normalized() const;
+
+    bool operator==(const RewardWeights &) const = default;
 };
 
 /** One invocation's measurements, pre-scaled per the paper. */

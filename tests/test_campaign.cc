@@ -15,6 +15,7 @@
 #include "app/campaign_runner.hh"
 #include "app/training_driver.hh"
 #include "policy/checkpoint.hh"
+#include "policy/cohmeleon_policy.hh"
 #include "policy/fixed.hh"
 #include "sim/atomic_file.hh"
 #include "test_util.hh"
@@ -157,6 +158,8 @@ TEST(ScenarioParser, RoundTripsThroughSerialize)
     s.accDisabledModes.emplace_back(
         "tgen0", coh::maskOf(coh::CoherenceMode::kCohDma));
     s.exactAttribution = true;
+    s.weights = {0.125, 0.3, 0.575};
+    s.evalEvery = 3;
     s.collectRecords = true;
     s.accCount = 4;
     s.accIndex = 2;
@@ -1416,4 +1419,271 @@ TEST(CampaignResilience, ResumeValidatesTheStateDirectory)
         EXPECT_NE(msg.find("MANIFEST"), std::string::npos) << msg;
         EXPECT_NE(msg.find("line"), std::string::npos) << msg;
     }
+}
+
+// ------------------------------------------------------ figure keys
+
+namespace
+{
+
+/** One tiny hand-picked group on soc1: the non-coherent baseline and
+ *  one cohmeleon cell that @p tweak adjusts. */
+CampaignSpec
+learnerCampaign(const std::function<void(ScenarioSpec &)> &tweak)
+{
+    CampaignSpec c = tinyCampaign();
+    c.policies.clear();
+    ScenarioSpec cell = c.base;
+    cell.name = "baseline";
+    cell.policy = "fixed-non-coh-dma";
+    c.cells.push_back(cell);
+    cell.name = "learner";
+    cell.policy = "cohmeleon";
+    tweak(cell);
+    c.cells.push_back(cell);
+    return c;
+}
+
+EvalOptions
+evalOptionsOf(const ScenarioSpec &s)
+{
+    EvalOptions e;
+    e.trainIterations = s.trainIterations;
+    e.appParams = s.appParams;
+    e.weights = s.weights;
+    e.agentSeed = s.agentSeed;
+    return e;
+}
+
+} // namespace
+
+TEST(ScenarioParser, NewKeysAppearOnlyOffTheirDefaults)
+{
+    // Older specs keep their canonical bytes.
+    const std::string text = serializeScenario(ScenarioSpec{});
+    EXPECT_EQ(text.find("reward"), std::string::npos) << text;
+    EXPECT_EQ(text.find("eval-every"), std::string::npos) << text;
+
+    const ScenarioSpec s =
+        parseScenarioString("reward = 0.5, 0, 0.5\neval-every = 2\n");
+    EXPECT_EQ(s.weights, (rl::RewardWeights{0.5, 0.0, 0.5}));
+    EXPECT_EQ(s.evalEvery, 2u);
+    EXPECT_EQ(parseScenarioString(serializeScenario(s)), s);
+}
+
+TEST(ScenarioParser, RewardAndEvalEveryRejectBadValuesOnOneLine)
+{
+    for (const char *text :
+         {"reward = 1, 2\n", "reward = 1, 2, 3, 4\n",
+          "reward = -0.1, 0.5, 0.6\n", "reward = nan, 0.5, 0.5\n",
+          "reward = inf, 0.5, 0.5\n", "reward = 0, 0, 0\n",
+          "reward = a, b, c\n", "eval-every = 0\n",
+          "eval-every = 1000001\n", "eval-every = -1\n"}) {
+        const std::string msg =
+            diagnosticOf([t = text] { parseScenarioString(t); });
+        EXPECT_NE(msg.find("line 1"), std::string::npos)
+            << text << " -> '" << msg << "'";
+        EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+    }
+}
+
+TEST(Campaign, RewardCellMatchesTheProtocolWithThoseWeights)
+{
+    CampaignSpec c = learnerCampaign([](ScenarioSpec &s) {
+        s.weights = {0.125, 0.125, 0.75};
+        s.agentSeed = 20;
+    });
+    // Enough training for the weighting to change decisions: the
+    // same cell with the default weights must score differently.
+    ScenarioSpec plain = c.cells.back();
+    plain.name = "default-weights";
+    plain.weights = {};
+    c.cells.push_back(plain);
+    for (ScenarioSpec &cell : c.cells) {
+        cell.appParams.phases = 3;
+        cell.appParams.maxThreads = 6;
+        cell.trainIterations = 4;
+    }
+    ParallelRunner runner(2);
+    const CampaignResult result = CampaignRunner(runner).run(c);
+    EXPECT_NE(result.find("learner")->geoExec,
+              result.find("default-weights")->geoExec);
+
+    const ScenarioSpec &spec = c.cells[1];
+    const soc::SocConfig cfg = resolveSoc(spec);
+    const EvalOptions eopts = evalOptionsOf(spec);
+    const ProtocolApps apps = makeProtocolApps(cfg, eopts);
+    const PhaseNorm want = normalizePhases(
+        runProtocolForPolicy("cohmeleon", cfg, eopts, apps.train,
+                             apps.eval),
+        runProtocolForPolicy("fixed-non-coh-dma", cfg, eopts,
+                             apps.train, apps.eval));
+
+    const CellResult *cell = result.find("learner");
+    ASSERT_NE(cell, nullptr);
+    EXPECT_EQ(cell->geoExec, want.geoExec);
+    EXPECT_EQ(cell->geoDdr, want.geoDdr);
+    EXPECT_EQ(cell->execNorm, want.execNorm);
+    EXPECT_EQ(cell->ddrNorm, want.ddrNorm);
+}
+
+TEST(Campaign, EvalEveryCurveMatchesATrainFreezeEvaluateLoop)
+{
+    const CampaignSpec c = learnerCampaign([](ScenarioSpec &s) {
+        s.trainIterations = 3;
+        s.evalEvery = 1;
+    });
+    ParallelRunner runner(2);
+    const CampaignResult result = CampaignRunner(runner).run(c);
+
+    // Figure 8's loop by hand: evaluate frozen, train one pass, repeat.
+    const ScenarioSpec &spec = c.cells.back();
+    const soc::SocConfig cfg = resolveSoc(spec);
+    const EvalOptions eopts = evalOptionsOf(spec);
+    const ProtocolApps apps = makeProtocolApps(cfg, eopts);
+    policy::FixedPolicy baseline(coh::CoherenceMode::kNonCohDma);
+    const AppResult base = runPolicyOnApp(baseline, cfg, apps.eval);
+    const std::unique_ptr<rt::CoherencePolicy> made =
+        makePolicyByName("cohmeleon", cfg, eopts);
+    auto &cohm = dynamic_cast<policy::CohmeleonPolicy &>(*made);
+    std::vector<PhaseNorm> want;
+    for (unsigned it = 0; it <= spec.trainIterations; ++it) {
+        if (it > 0)
+            runTrainingIteration(cohm, cfg, apps.train);
+        cohm.freeze();
+        want.push_back(normalizePhases(
+            runPolicyOnApp(cohm, cfg, apps.eval).phases, base.phases));
+        cohm.unfreeze();
+    }
+
+    const CellResult *cell = result.find("learner");
+    ASSERT_NE(cell, nullptr);
+    ASSERT_EQ(cell->curve.size(), want.size());
+    for (std::size_t j = 0; j < want.size(); ++j) {
+        EXPECT_EQ(cell->curve[j].geoExec, want[j].geoExec) << j;
+        EXPECT_EQ(cell->curve[j].geoDdr, want[j].geoDdr) << j;
+        EXPECT_EQ(cell->curve[j].execNorm, want[j].execNorm) << j;
+    }
+
+    // The JSON carries the curve of the eval-every cell only, and a
+    // state directory restores it byte-identically.
+    const std::string json = result.json();
+    EXPECT_NE(json.find("\"cell1.curve3.geo_exec\""), std::string::npos);
+    EXPECT_EQ(json.find("cell1.curve4"), std::string::npos);
+    EXPECT_EQ(json.find("cell0.curve"), std::string::npos);
+    const test::TempDir dir("curve_state");
+    CampaignRunOptions opts;
+    opts.stateDir = dir.file("state");
+    EXPECT_EQ(CampaignRunner(runner).run(c, opts).json(), json);
+    opts.resume = true;
+    EXPECT_EQ(CampaignRunner(runner).run(c, opts).json(), json);
+}
+
+TEST(Campaign, RecordsAddPhaseNormsAndModeCountsToTheJson)
+{
+    CampaignSpec c = tinyCampaign();
+    ParallelRunner runner(2);
+    const std::string plain = CampaignRunner(runner).run(c).json();
+    EXPECT_EQ(plain.find(".phase0."), std::string::npos);
+    EXPECT_EQ(plain.find(".modes."), std::string::npos);
+
+    c.base.collectRecords = true;
+    const CampaignResult result = CampaignRunner(runner).run(c);
+    const std::string json = result.json();
+    const CellResult &manual = result.cells[1];
+    for (std::size_t k = 0; k < manual.phases.size(); ++k) {
+        const std::string q = "cell1.phase" + std::to_string(k);
+        EXPECT_NE(json.find("\"" + q + ".name\": \"" +
+                            manual.phases[k].name + "\""),
+                  std::string::npos)
+            << q;
+        EXPECT_NE(json.find("\"" + q + ".exec_norm\""), std::string::npos)
+            << q;
+    }
+    // The per-class mode counts add up to the cell's invocations.
+    std::uint64_t invocations = 0;
+    for (const PhaseResult &ph : manual.phases)
+        invocations += ph.invocations.size();
+    ASSERT_GT(invocations, 0u);
+    std::uint64_t counted = 0;
+    for (std::size_t pos = json.find("\"cell1.modes.");
+         pos != std::string::npos;
+         pos = json.find("\"cell1.modes.", pos + 1))
+        counted += std::stoull(json.substr(json.find(": ", pos) + 2));
+    EXPECT_EQ(counted, invocations);
+}
+
+TEST(Campaign, HeadlineSummaryAveragesCohmeleonAgainstFixedCells)
+{
+    const auto cell = [](std::size_t group, const char *policy,
+                         double exec, double ddr) {
+        CellResult c;
+        c.group = group;
+        c.scenario.policy = policy;
+        c.geoExec = exec;
+        c.geoDdr = ddr;
+        c.execNorm = {exec};
+        c.ddrNorm = {ddr};
+        return c;
+    };
+    CampaignResult r;
+    r.groupCount = 3;
+    r.cells = {
+        cell(0, "fixed-non-coh-dma", 1.0, 1.0),
+        cell(0, "fixed-coh-dma", 0.8, 0.5),
+        cell(0, "cohmeleon", 0.8, 0.25),
+        cell(1, "fixed-non-coh-dma", 1.0, 1.0),
+        cell(1, "manual", 0.25, 0.25), // neither side of the headline
+        cell(1, "cohmeleon@perceptron", 0.5, 0.5),
+        cell(2, "cohmeleon", 0.1, 0.1), // no fixed cell: skipped
+    };
+    CellResult failed = cell(1, "fixed-full-coh", 9.0, 9.0);
+    failed.failed = true;
+    r.cells.push_back(failed);
+
+    const std::optional<HeadlineSummary> h = headlineSummary(r);
+    ASSERT_TRUE(h.has_value());
+    // Pairs: (0.25, 0.75), (0.0, 0.5) in group 0; (1.0, 0.5) in 1.
+    EXPECT_DOUBLE_EQ(h->speedupVsFixed, 1.25 / 3);
+    EXPECT_DOUBLE_EQ(h->ddrReductionVsFixed, 1.75 / 3);
+    // Per cohmeleon cell: (0.25, 0.75) and (1.0, 0.5).
+    EXPECT_DOUBLE_EQ(h->speedupVsBaseline, 0.625);
+    EXPECT_DOUBLE_EQ(h->ddrReductionVsBaseline, 0.625);
+
+    r.cells = {cell(0, "fixed-non-coh-dma", 1.0, 1.0),
+               cell(0, "manual", 0.5, 0.5)};
+    EXPECT_FALSE(headlineSummary(r).has_value());
+}
+
+TEST(Campaign, LearnerOnlyKeysSkipNonLearningCells)
+{
+    // A [scenario]-level shards or eval-every reaches every cell; the
+    // non-learning ones drop it at expansion and keep their names.
+    CampaignSpec c = tinyCampaign();
+    c.base.trainIterations = 1;
+    c.base.trainShards = 2;
+    c.base.evalEvery = 1;
+    const std::vector<ScenarioSpec> cells = CampaignRunner::expand(c);
+    ASSERT_EQ(cells.size(), 3u);
+    for (const ScenarioSpec &s : cells) {
+        const bool learner = s.policy == "cohmeleon";
+        EXPECT_EQ(s.name, "soc1/" + s.policy);
+        EXPECT_EQ(s.trainShards, learner ? 2u : 0u) << s.name;
+        EXPECT_EQ(s.evalEvery, learner ? 1u : 0u) << s.name;
+    }
+
+    // Every cell runs; the sharded learner cannot trace a curve.
+    c.base.evalEvery = 0;
+    ParallelRunner runner(2);
+    const CampaignResult result = CampaignRunner(runner).run(c);
+    EXPECT_EQ(result.failureCount(), 0u);
+    EXPECT_FALSE(result.cells[0].execNorm.empty());
+
+    // A single cell still rejects a learner knob it cannot use.
+    ScenarioSpec manual = c.base;
+    manual.policy = "manual";
+    EXPECT_THROW(runScenario(manual), FatalError);
+    ScenarioSpec curveAndShards = c.base;
+    curveAndShards.evalEvery = 1;
+    EXPECT_THROW(runScenario(curveAndShards), FatalError);
 }

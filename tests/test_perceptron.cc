@@ -293,6 +293,30 @@ TEST(Perceptron, LoadRejectsMalformedBlocks)
     }
 }
 
+TEST(Perceptron, LoadRejectsANegativeVisitCount)
+{
+    // A signed count must fail, not wrap to 2^64 - 1.
+    rl::PerceptronModel model = trainedShard(5);
+    const std::string before = bytesOf(model);
+    // The first row's last field is its last action's visit count.
+    const std::size_t rowStart = before.find('\n') + 1;
+    const std::size_t rowEnd = before.find('\n', rowStart);
+    const std::size_t last = before.rfind(' ', rowEnd) + 1;
+    std::istringstream is(before.substr(0, last) + "-1" +
+                          before.substr(rowEnd));
+    std::string msg;
+    try {
+        model.load(is);
+    } catch (const FatalError &e) {
+        msg = e.what();
+    }
+    EXPECT_NE(msg.find("perceptron visit count (row 0"),
+              std::string::npos)
+        << "'" << msg << "'";
+    EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+    EXPECT_EQ(bytesOf(model), before);
+}
+
 TEST(Perceptron, ModelWrapperRefusesTheTabularEscapeHatch)
 {
     rl::Model model(smallSpec());

@@ -230,6 +230,37 @@ TEST(TabularModel, HostileBlocksThrowAndLeaveTheModelUntouched)
     }
 }
 
+TEST(TabularModel, SignedVisitCountFailsAndLeavesTheModelUntouched)
+{
+    // `is >> n` into an unsigned count wraps "-1" to 2^64 - 1 and
+    // reports success; the block's counts must reject any sign.
+    Model model;
+    std::istringstream in(tabularBlock());
+    model.load(in);
+    const std::string before = savedBytes(model);
+
+    const std::string row = "42 0 0 1.5 3";
+    for (const char *count : {"-1", "+3"}) {
+        std::string text = tabularBlock();
+        text.replace(text.find(row), row.size(),
+                     std::string("42 0 0 1.5 ") + count);
+        std::istringstream bad(text);
+        const std::string msg = [&]() -> std::string {
+            try {
+                model.load(bad);
+            } catch (const FatalError &e) {
+                return e.what();
+            }
+            return "";
+        }();
+        EXPECT_NE(msg.find("visit count (state 5 action 0)"),
+                  std::string::npos)
+            << count << ": '" << msg << "'";
+        EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+        EXPECT_EQ(savedBytes(model), before) << count;
+    }
+}
+
 // ------------------------------------------------------- visits + merge
 
 TEST(QTable, UpdateCountsVisits)

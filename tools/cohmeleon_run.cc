@@ -678,6 +678,19 @@ cmdCampaign(Args &args)
         std::fputs(os.str().c_str(), stdout);
     }
 
+    if (const auto h = app::headlineSummary(result)) {
+        std::printf("\ncohmeleon vs fixed policies: average speedup "
+                    "%.0f%%, average off-chip access reduction %.0f%%\n",
+                    100.0 * h->speedupVsFixed,
+                    100.0 * h->ddrReductionVsFixed);
+        std::printf("cohmeleon vs the %s baseline: average speedup "
+                    "%.0f%%, average off-chip access reduction %.0f%%\n",
+                    spec.baseline.empty() ? "group"
+                                          : spec.baseline.c_str(),
+                    100.0 * h->speedupVsBaseline,
+                    100.0 * h->ddrReductionVsBaseline);
+    }
+
     if (outFile.empty())
         outFile = "CAMPAIGN_" + spec.name + ".json";
     JsonReporter rep(spec.name);

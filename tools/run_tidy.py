@@ -68,7 +68,7 @@ def find_clang_tidy(explicit):
 
 def source_files(build_dir):
     """src/ translation units from the compilation database (skips
-    vendored googletest, tests, benches: headers still get covered
+    vendored googletest, tests, examples: headers still get covered
     through HeaderFilterRegex when TUs include them)."""
     db_path = build_dir / "compile_commands.json"
     if not db_path.exists():
