@@ -14,13 +14,6 @@ AddressMap::AddressMap(unsigned numPartitions, std::uint64_t partitionBytes)
     partShift_ = powerOfTwoShift(partitionBytes);
 }
 
-unsigned
-AddressMap::partitionOf(Addr addr) const
-{
-    panic_if(!contains(addr), "address ", addr, " outside memory space");
-    return partitionOfUnchecked(addr);
-}
-
 Addr
 AddressMap::base(unsigned p) const
 {

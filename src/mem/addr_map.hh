@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace cohmeleon::mem
@@ -36,7 +37,13 @@ class AddressMap
     }
 
     /** Partition that services @p addr. @pre addr < totalBytes() */
-    unsigned partitionOf(Addr addr) const;
+    unsigned
+    partitionOf(Addr addr) const
+    {
+        panic_if(!contains(addr), "address ", addr,
+                 " outside memory space");
+        return partitionOfUnchecked(addr);
+    }
 
     /**
      * partitionOf() without the range audit, for batch loops that

@@ -9,11 +9,11 @@
  *
  * Storage is structure-of-arrays: each per-line field lives in its own
  * packed vector, so the hot way-scans touch only the field they need.
- * With 8-byte tags and 8-way sets, find()'s scan of one set reads a
- * single 64-byte cache line of host memory instead of striding eight
- * 64-byte line records; victimFor()'s LRU scan does the same over the
- * packed lastUse array. Callers address a slot through the LineRef
- * handle instead of a pointer to a line struct.
+ * With 8-byte tags and 8-way sets, lookup()'s scan of one set reads a
+ * single 64-byte cache line of host memory for the tags and one for
+ * the packed lastUse ticks, instead of striding eight 64-byte line
+ * records. Callers address a slot through the LineRef handle instead
+ * of a pointer to a line struct.
  */
 
 #ifndef COHMELEON_MEM_CACHE_ARRAY_HH
@@ -123,27 +123,34 @@ class CacheArray
     }
 
     /**
-     * Choose a victim slot for @p lineAddr: an invalid way if one
-     * exists, otherwise the LRU valid way. The caller is responsible
-     * for handling the victim's contents before overwriting.
+     * find() and, on a miss, victim choice in one pass over the set.
+     * @return the line holding @p lineAddr, or a null ref on a miss;
+     *         then @p victimOut is the slot to refill: the first
+     *         invalid way if one exists, otherwise the first way with
+     *         the lowest LRU tick. The caller is responsible for
+     *         handling the victim's contents before overwriting.
+     *         @p victimOut is left untouched on a hit.
      */
     LineRef
-    victimFor(Addr lineAddr)
+    lookup(Addr lineAddr, LineRef &victimOut)
     {
         const std::size_t base =
             static_cast<std::size_t>(setOf(lineAddr)) * ways_;
         const Addr *tags = tags_.data() + base;
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (tags[w] == kInvalidTag)
-                return LineRef(this, base + w);
-        }
         const std::uint64_t *lru = lastUse_.data() + base;
-        unsigned victim = 0;
-        for (unsigned w = 1; w < ways_; ++w) {
-            if (lru[w] < lru[victim])
-                victim = w;
+        unsigned invalid = ways_;
+        unsigned oldest = 0;
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (tags[w] == lineAddr)
+                return LineRef(this, base + w);
+            if (tags[w] == kInvalidTag && invalid == ways_)
+                invalid = w;
+            if (lru[w] < lru[oldest])
+                oldest = w;
         }
-        return LineRef(this, base + victim);
+        victimOut = LineRef(this, base + (invalid < ways_ ? invalid
+                                                          : oldest));
+        return {};
     }
 
     /** Refresh LRU position of @p line. */

@@ -12,25 +12,6 @@ DramController::DramController(std::string name, DramParams params)
     rowShift_ = powerOfTwoShift(params_.rowBytes);
 }
 
-Cycles
-DramController::access(Cycles now, Addr lineAddr, bool isWrite)
-{
-    const Addr row = rowOf(lineAddr);
-    Cycles service = params_.lineService;
-    if (row != openRow_) {
-        service += params_.rowMissPenalty;
-        ++rowMisses_;
-        openRow_ = row;
-    } else {
-        ++rowHits_;
-    }
-    if (isWrite)
-        ++writes_;
-    else
-        ++reads_;
-    return channel_.finishAfter(now, service);
-}
-
 void
 DramController::accessRun(Cycles first, Cycles stride,
                           const Addr *addrs, unsigned n, bool isWrite,

@@ -50,7 +50,24 @@ class DramController
      * @param isWrite write (true) or read (false)
      * @return completion time of the transfer
      */
-    Cycles access(Cycles now, Addr lineAddr, bool isWrite);
+    Cycles
+    access(Cycles now, Addr lineAddr, bool isWrite)
+    {
+        const Addr row = rowOf(lineAddr);
+        Cycles service = params_.lineService;
+        if (row != openRow_) {
+            service += params_.rowMissPenalty;
+            ++rowMisses_;
+            openRow_ = row;
+        } else {
+            ++rowHits_;
+        }
+        if (isWrite)
+            ++writes_;
+        else
+            ++reads_;
+        return channel_.finishAfter(now, service);
+    }
 
     /**
      * Batch entry point for DMA bursts: service @p n line accesses,

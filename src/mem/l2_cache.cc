@@ -38,7 +38,8 @@ L2Cache::read(Cycles now, Addr lineAddr)
     const auto &t = ms_.timing();
     const Cycles start = port_.acquire(now, t.l2PortOccupancy);
 
-    if (LineRef line = array_.find(lineAddr)) {
+    LineRef slot;
+    if (LineRef line = array_.lookup(lineAddr, slot)) {
         ++hits_;
         array_.touch(line);
         ms_.versions().checkRead(lineAddr, line.version(),
@@ -47,7 +48,6 @@ L2Cache::read(Cycles now, Addr lineAddr)
     }
 
     ++misses_;
-    LineRef slot = array_.victimFor(lineAddr);
     const Cycles wbDone = evict(start, slot);
     const FillResult fill = ms_.getS(start, lineAddr, *this);
 
@@ -69,7 +69,8 @@ L2Cache::write(Cycles now, Addr lineAddr)
     const auto &t = ms_.timing();
     const Cycles start = port_.acquire(now, t.l2PortOccupancy);
 
-    if (LineRef line = array_.find(lineAddr)) {
+    LineRef slot;
+    if (LineRef line = array_.lookup(lineAddr, slot)) {
         array_.touch(line);
         if (line.state() == CState::kModified ||
             line.state() == CState::kExclusive) {
@@ -88,7 +89,6 @@ L2Cache::write(Cycles now, Addr lineAddr)
     }
 
     ++misses_;
-    LineRef slot = array_.victimFor(lineAddr);
     const Cycles wbDone = evict(start, slot);
     const FillResult fill = ms_.getM(start, lineAddr, *this);
 

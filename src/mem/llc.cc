@@ -92,11 +92,10 @@ LlcPartition::invalidateSharers(Cycles now, LineRef line, int exceptId)
     return done;
 }
 
-LineRef
-LlcPartition::allocateSlot(Cycles now, Addr lineAddr, Cycles &ready)
+Cycles
+LlcPartition::allocateSlot(Cycles now, LineRef victim)
 {
-    LineRef victim = array_.victimFor(lineAddr);
-    ready = now;
+    Cycles ready = now;
     if (victim.valid()) {
         ++evictions_;
         // Inclusive LLC: private copies must go before the slot can be
@@ -115,7 +114,7 @@ LlcPartition::allocateSlot(Cycles now, Addr lineAddr, Cycles &ready)
         }
         victim.clear();
     }
-    return victim;
+    return ready;
 }
 
 FillResult
@@ -126,7 +125,8 @@ LlcPartition::getS(Cycles now, Addr lineAddr, L2Cache &req)
     Cycles ready = lookupStart + t.llcLatency;
 
     FillResult res;
-    LineRef line = array_.find(lineAddr);
+    LineRef slot;
+    LineRef line = array_.lookup(lineAddr, slot);
     if (line) {
         ++hits_;
         if (line.owner() == static_cast<int>(req.id())) {
@@ -145,8 +145,7 @@ LlcPartition::getS(Cycles now, Addr lineAddr, L2Cache &req)
         res.exclusive = exclusive;
     } else {
         ++misses_;
-        Cycles slotReady = ready;
-        LineRef slot = allocateSlot(ready, lineAddr, slotReady);
+        const Cycles slotReady = allocateSlot(ready, slot);
         const Cycles dramDone = dram_.access(ready, lineAddr, false);
         ++res.dramAccesses;
         slot.lineAddr() = lineAddr;
@@ -174,7 +173,8 @@ LlcPartition::getM(Cycles now, Addr lineAddr, L2Cache &req)
     Cycles ready = lookupStart + t.llcLatency;
 
     FillResult res;
-    LineRef line = array_.find(lineAddr);
+    LineRef slot;
+    LineRef line = array_.lookup(lineAddr, slot);
     if (line) {
         ++hits_;
         if (line.owner() == static_cast<int>(req.id()))
@@ -190,8 +190,7 @@ LlcPartition::getM(Cycles now, Addr lineAddr, L2Cache &req)
         res.version = line.version();
     } else {
         ++misses_;
-        Cycles slotReady = ready;
-        LineRef slot = allocateSlot(ready, lineAddr, slotReady);
+        const Cycles slotReady = allocateSlot(ready, slot);
         const Cycles dramDone = dram_.access(ready, lineAddr, false);
         ++res.dramAccesses;
         slot.lineAddr() = lineAddr;
@@ -256,7 +255,8 @@ LlcPartition::dmaReadCore(Cycles now, Addr lineAddr, bool coherent,
 
     AccessResult res;
     std::uint64_t version = 0;
-    LineRef line = array_.find(lineAddr);
+    LineRef slot;
+    LineRef line = array_.lookup(lineAddr, slot);
     if (line) {
         ++hits_;
         // Coherent DMA consults the directory and recalls private
@@ -269,8 +269,7 @@ LlcPartition::dmaReadCore(Cycles now, Addr lineAddr, bool coherent,
         res.llcHit = true;
     } else {
         ++misses_;
-        Cycles slotReady = ready;
-        LineRef slot = allocateSlot(ready, lineAddr, slotReady);
+        const Cycles slotReady = allocateSlot(ready, slot);
         const Cycles dramDone = dram_.access(ready, lineAddr, false);
         ++res.dramAccesses;
         slot.lineAddr() = lineAddr;
@@ -334,7 +333,8 @@ LlcPartition::dmaWriteOne(Cycles now, Addr lineAddr, bool coherent)
     Cycles ready = lookupStart + t.llcLatency;
 
     AccessResult res;
-    LineRef line = array_.find(lineAddr);
+    LineRef slot;
+    LineRef line = array_.lookup(lineAddr, slot);
     if (line) {
         ++hits_;
         if (coherent) {
@@ -348,9 +348,8 @@ LlcPartition::dmaWriteOne(Cycles now, Addr lineAddr, bool coherent)
         res.llcHit = true;
     } else {
         ++misses_;
-        Cycles slotReady = ready;
-        line = allocateSlot(ready, lineAddr, slotReady);
-        ready = std::max(ready, slotReady);
+        ready = std::max(ready, allocateSlot(ready, slot));
+        line = slot;
         line.lineAddr() = lineAddr;
         line.sharers() = 0;
         line.owner() = -1;

@@ -124,8 +124,9 @@ class LlcPartition
     /** Invalidate all sharers except @p exceptId. @return time. */
     Cycles invalidateSharers(Cycles now, LineRef line, int exceptId);
 
-    /** Make room for @p lineAddr. @return {slot, ready time}. */
-    LineRef allocateSlot(Cycles now, Addr lineAddr, Cycles &ready);
+    /** Empty @p victim (the slot CacheArray::lookup() chose) for a
+     *  refill. @return the time the slot is free. */
+    Cycles allocateSlot(Cycles now, LineRef victim);
 
     unsigned index_;
     std::string name_;

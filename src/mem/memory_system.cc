@@ -37,37 +37,6 @@ MemorySystem::addL2(const std::string &name, TileId tile,
     return *l2s_.back();
 }
 
-FillResult
-MemorySystem::getS(Cycles now, Addr lineAddr, L2Cache &req)
-{
-    const unsigned p = map_.partitionOf(lineAddr);
-    const Cycles arrive =
-        noc_.transfer(now, req.tile(), memTiles_[p],
-                      noc::Plane::kCohReq, timing_.reqBytes);
-    return slices_[p]->getS(arrive, lineAddr, req);
-}
-
-FillResult
-MemorySystem::getM(Cycles now, Addr lineAddr, L2Cache &req)
-{
-    const unsigned p = map_.partitionOf(lineAddr);
-    const Cycles arrive =
-        noc_.transfer(now, req.tile(), memTiles_[p],
-                      noc::Plane::kCohReq, timing_.reqBytes);
-    return slices_[p]->getM(arrive, lineAddr, req);
-}
-
-Cycles
-MemorySystem::putWriteback(Cycles now, Addr lineAddr, L2Cache &from,
-                           std::uint64_t version)
-{
-    const unsigned p = map_.partitionOf(lineAddr);
-    const Cycles arrive =
-        noc_.transfer(now, from.tile(), memTiles_[p],
-                      noc::Plane::kCohReq, kLineBytes);
-    return slices_[p]->putWriteback(arrive, lineAddr, from, version);
-}
-
 void
 MemorySystem::putClean(Addr lineAddr, L2Cache &from)
 {

@@ -57,10 +57,37 @@ class MemorySystem
     const AddressMap &map() const { return map_; }
 
     // --- L2 miss paths (called by L2Cache) -----------------------------
-    FillResult getS(Cycles now, Addr lineAddr, L2Cache &req);
-    FillResult getM(Cycles now, Addr lineAddr, L2Cache &req);
-    Cycles putWriteback(Cycles now, Addr lineAddr, L2Cache &from,
-                        std::uint64_t version);
+    FillResult
+    getS(Cycles now, Addr lineAddr, L2Cache &req)
+    {
+        const unsigned p = map_.partitionOf(lineAddr);
+        const Cycles arrive =
+            noc_.transfer(now, req.tile(), memTiles_[p],
+                          noc::Plane::kCohReq, timing_.reqBytes);
+        return slices_[p]->getS(arrive, lineAddr, req);
+    }
+
+    FillResult
+    getM(Cycles now, Addr lineAddr, L2Cache &req)
+    {
+        const unsigned p = map_.partitionOf(lineAddr);
+        const Cycles arrive =
+            noc_.transfer(now, req.tile(), memTiles_[p],
+                          noc::Plane::kCohReq, timing_.reqBytes);
+        return slices_[p]->getM(arrive, lineAddr, req);
+    }
+
+    Cycles
+    putWriteback(Cycles now, Addr lineAddr, L2Cache &from,
+                 std::uint64_t version)
+    {
+        const unsigned p = map_.partitionOf(lineAddr);
+        const Cycles arrive =
+            noc_.transfer(now, from.tile(), memTiles_[p],
+                          noc::Plane::kCohReq, kLineBytes);
+        return slices_[p]->putWriteback(arrive, lineAddr, from, version);
+    }
+
     void putClean(Addr lineAddr, L2Cache &from);
 
     // --- DMA paths (called by the coherence-mode bridge) ---------------

@@ -1,5 +1,6 @@
 #include "mem/version_tracker.hh"
 
+#include <algorithm>
 #include <sstream>
 
 namespace cohmeleon::mem
@@ -8,41 +9,45 @@ namespace cohmeleon::mem
 void
 VersionTracker::initDirectory(std::size_t capacity)
 {
-    dir_.assign(capacity, DirEntry{});
+    dir_.assign(capacity, Entry{});
     growAt_ = capacity - capacity / 4; // grow at 75% occupancy
     hashShift_ = 64;
     while ((std::size_t{1} << (64 - hashShift_)) < capacity)
         --hashShift_;
-    cachedKey_ = kEmptyKey;
-    cachedBlock_ = kNoBlock;
+}
+
+VersionTracker::Block *
+VersionTracker::newBlock()
+{
+    if (blocksUsed_ == chunks_.size() * kChunkBlocks)
+        chunks_.push_back(
+            std::make_unique_for_overwrite<Block[]>(kChunkBlocks));
+    Block *b = &chunks_[blocksUsed_ / kChunkBlocks]
+                       [blocksUsed_ % kChunkBlocks];
+    ++blocksUsed_;
+    *b = Block{};
+    return b;
 }
 
 VersionTracker::Block &
-VersionTracker::blockFor(Addr lineAddr)
+VersionTracker::probeOrInsert(std::uint64_t key)
 {
-    const std::uint64_t key = blockKeyOf(lineAddr);
-    if (key == cachedKey_)
-        return blocks_[cachedBlock_];
     const std::size_t mask = dir_.size() - 1;
     std::size_t idx = static_cast<std::size_t>(hashOf(key) >> hashShift_);
     while (true) {
-        DirEntry &e = dir_[idx];
+        Entry &e = dir_[idx];
         if (e.key == key) {
-            cachedKey_ = key;
-            cachedBlock_ = e.block;
-            return blocks_[e.block];
+            remember(e);
+            return *e.block;
         }
         if (e.key == kEmptyKey) {
-            if (blocks_.size() >= growAt_) {
+            if (blocksUsed_ >= growAt_) {
                 growDirectory();
-                return blockFor(key << (kLineShift + kBlockShift));
+                return probeOrInsert(key);
             }
-            e.key = key;
-            e.block = static_cast<std::uint32_t>(blocks_.size());
-            blocks_.emplace_back();
-            cachedKey_ = key;
-            cachedBlock_ = e.block;
-            return blocks_[e.block];
+            e = {key, newBlock()};
+            remember(e);
+            return *e.block;
         }
         idx = (idx + 1) & mask;
     }
@@ -51,10 +56,10 @@ VersionTracker::blockFor(Addr lineAddr)
 void
 VersionTracker::growDirectory()
 {
-    std::vector<DirEntry> old = std::move(dir_);
+    std::vector<Entry> old = std::move(dir_);
     initDirectory(old.size() * 2);
     const std::size_t mask = dir_.size() - 1;
-    for (const DirEntry &e : old) {
+    for (const Entry &e : old) {
         if (e.key == kEmptyKey)
             continue;
         std::size_t idx =
@@ -83,8 +88,13 @@ VersionTracker::reset()
 {
     counter_ = 0;
     violations_ = 0;
-    blocks_.clear();
-    initDirectory(kInitialDirCapacity);
+    // Keep the chunks and the grown directory: a profiler resets the
+    // tracker before every measured run, and regrowing from the
+    // initial capacity each time costs more than the memory it would
+    // give back.
+    blocksUsed_ = 0;
+    std::fill(dir_.begin(), dir_.end(), Entry{});
+    recent_[0] = recent_[1] = Entry{};
     violationLog_.clear();
 }
 

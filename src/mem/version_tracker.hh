@@ -18,17 +18,22 @@
  * storage is organized for burst locality: stamps live in blocks of
  * 64 consecutive lines ({latest[64], dram[64]} per block, allocated
  * on first write), reached through an open-addressed block directory
- * with a one-entry cache. A contiguous or moderately strided burst
- * resolves one directory probe per block instead of two node-based
- * map lookups per line. The DMA paths use the fused checkDramRead()
- * / bumpDramWrite() helpers, which touch the line's block once.
+ * fronted by a cache of the two most recently used blocks. A
+ * contiguous or moderately strided burst resolves one directory probe
+ * per block instead of two node-based map lookups per line, and an
+ * LLC fill, which alternates between the new line's block and the
+ * dirty victim's block, stays in the cache. The DMA paths use the
+ * fused checkDramRead() / bumpDramWrite() helpers, which touch the
+ * line's block once.
  */
 
 #ifndef COHMELEON_MEM_VERSION_TRACKER_HH
 #define COHMELEON_MEM_VERSION_TRACKER_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -141,19 +146,23 @@ class VersionTracker
     static constexpr std::size_t kBlockLines = std::size_t{1}
                                                << kBlockShift;
     static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-    static constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
+    /** Blocks per storage chunk. Chunks never move, so the directory
+     *  and the cache hold plain pointers, and a growing tracker never
+     *  copies its blocks into a twice-as-large buffer. */
+    static constexpr std::size_t kChunkBlocks = 32;
 
+    /** Zeroed when handed out by newBlock(). */
     struct Block
     {
-        std::uint64_t latest[kBlockLines] = {};
-        std::uint64_t dram[kBlockLines] = {};
+        std::uint64_t latest[kBlockLines];
+        std::uint64_t dram[kBlockLines];
     };
 
-    /** Directory slot: block key -> index into blocks_. */
-    struct DirEntry
+    /** A block key and its block: a directory slot or a cache entry. */
+    struct Entry
     {
         std::uint64_t key = kEmptyKey;
-        std::uint32_t block = kNoBlock;
+        Block *block = nullptr;
     };
 
     static std::uint64_t
@@ -175,23 +184,44 @@ class VersionTracker
         return key * 0x9E3779B97F4A7C15ull; // Fibonacci hashing
     }
 
+    /** Block @p key if it is one of the two cached blocks (making it
+     *  the most recent), else null. */
+    Block *
+    cachedBlock(std::uint64_t key) const
+    {
+        if (key == recent_[0].key)
+            return recent_[0].block;
+        if (key == recent_[1].key) {
+            std::swap(recent_[0], recent_[1]);
+            return recent_[0].block;
+        }
+        return nullptr;
+    }
+
+    /** Make @p e the most recently used block. */
+    void
+    remember(const Entry &e) const
+    {
+        recent_[1] = recent_[0];
+        recent_[0] = e;
+    }
+
     /** Directory probe, read-only; null if the block was never
-     *  written. Refreshes the one-entry cache on a hit. */
+     *  written. Caches the block on a hit. */
     const Block *
     findBlock(Addr lineAddr) const
     {
         const std::uint64_t key = blockKeyOf(lineAddr);
-        if (key == cachedKey_)
-            return &blocks_[cachedBlock_];
+        if (const Block *b = cachedBlock(key))
+            return b;
         const std::size_t mask = dir_.size() - 1;
         std::size_t idx =
             static_cast<std::size_t>(hashOf(key) >> hashShift_);
         while (true) {
-            const DirEntry &e = dir_[idx];
+            const Entry &e = dir_[idx];
             if (e.key == key) {
-                cachedKey_ = key;
-                cachedBlock_ = e.block;
-                return &blocks_[e.block];
+                remember(e);
+                return e.block;
             }
             if (e.key == kEmptyKey)
                 return nullptr;
@@ -199,7 +229,23 @@ class VersionTracker
         }
     }
 
-    Block &blockFor(Addr lineAddr); ///< insert-if-absent variant
+    /** Insert-if-absent variant of findBlock(). */
+    Block &
+    blockFor(Addr lineAddr)
+    {
+        const std::uint64_t key = blockKeyOf(lineAddr);
+        if (Block *b = cachedBlock(key))
+            return *b;
+        return probeOrInsert(key);
+    }
+
+    /** blockFor()'s directory probe, inserting a new block (and
+     *  growing the directory) if @p key is absent. */
+    Block &probeOrInsert(std::uint64_t key);
+
+    /** A zeroed block from the chunks, allocating a chunk if all are
+     *  in use. */
+    Block *newBlock();
 
     void initDirectory(std::size_t capacity);
     void growDirectory();
@@ -209,12 +255,12 @@ class VersionTracker
     bool enabled_ = true;
     std::uint64_t counter_ = 0;
     std::uint64_t violations_ = 0;
-    std::vector<DirEntry> dir_;
-    std::vector<Block> blocks_;
+    std::vector<Entry> dir_;
+    std::vector<std::unique_ptr<Block[]>> chunks_;
+    std::size_t blocksUsed_ = 0; ///< blocks handed out from chunks_
     std::size_t growAt_ = 0;
     unsigned hashShift_ = 0; ///< 64 - log2(directory size)
-    mutable std::uint64_t cachedKey_ = kEmptyKey;
-    mutable std::uint32_t cachedBlock_ = kNoBlock;
+    mutable Entry recent_[2]; ///< [0] most recent, [1] the one before
     std::vector<std::string> violationLog_;
 };
 

@@ -8,35 +8,18 @@ namespace cohmeleon::noc
 {
 
 NocModel::NocModel(const MeshTopology &topo, NocParams params)
-    : topo_(topo), params_(params)
+    : topo_(topo), params_(params), tiles_(topo.tileCount())
 {
     fatalIf(params.flitBytes == 0, "flit size must be positive");
-    const std::size_t n =
-        static_cast<std::size_t>(topo.tileCount()) * kNumPlanes;
+    const std::size_t n = static_cast<std::size_t>(tiles_) * kNumPlanes;
     egress_.resize(n);
     ingress_.resize(n);
-}
-
-unsigned
-NocModel::flitsFor(unsigned payloadBytes) const
-{
-    const unsigned payloadFlits =
-        (payloadBytes + params_.flitBytes - 1) / params_.flitBytes;
-    return 1 + payloadFlits; // one head flit carrying routing info
-}
-
-Server &
-NocModel::egress(TileId tile, Plane plane)
-{
-    return egress_[static_cast<std::size_t>(tile) * kNumPlanes +
-                   static_cast<std::size_t>(plane)];
-}
-
-Server &
-NocModel::ingress(TileId tile, Plane plane)
-{
-    return ingress_[static_cast<std::size_t>(tile) * kNumPlanes +
-                    static_cast<std::size_t>(plane)];
+    hopCycles_.resize(static_cast<std::size_t>(tiles_) * tiles_);
+    for (TileId src = 0; src < tiles_; ++src) {
+        for (TileId dst = 0; dst < tiles_; ++dst)
+            hopCycles_[static_cast<std::size_t>(src) * tiles_ + dst] =
+                topo.hops(src, dst) * params.hopLatency;
+    }
 }
 
 Cycles

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "noc/topology.hh"
+#include "sim/logging.hh"
 #include "sim/server.hh"
 #include "sim/types.hh"
 
@@ -90,6 +91,8 @@ class NocModel
     TransferPlan
     plan(TileId src, TileId dst, Plane plane, unsigned payloadBytes)
     {
+        panic_if(src >= tiles_ || dst >= tiles_, "NoC route ", src,
+                 " -> ", dst, " leaves the ", tiles_, "-tile mesh");
         TransferPlan p;
         p.nflits = flitsFor(payloadBytes);
         p.routerPipeline = params_.routerPipeline;
@@ -99,7 +102,8 @@ class NocModel
         }
         p.egress = &egress(src, plane);
         p.ingress = &ingress(dst, plane);
-        p.hopCycles = topo_.hops(src, dst) * params_.hopLatency;
+        p.hopCycles =
+            hopCycles_[static_cast<std::size_t>(src) * tiles_ + dst];
         return p;
     }
 
@@ -195,7 +199,13 @@ class NocModel
                               unsigned payloadBytes) const;
 
     /** Flits needed for a payload (one head flit + payload flits). */
-    unsigned flitsFor(unsigned payloadBytes) const;
+    unsigned
+    flitsFor(unsigned payloadBytes) const
+    {
+        const unsigned payloadFlits =
+            (payloadBytes + params_.flitBytes - 1) / params_.flitBytes;
+        return 1 + payloadFlits; // one head flit carrying routing info
+    }
 
     const MeshTopology &topology() const { return topo_; }
     const NocParams &params() const { return params_; }
@@ -210,11 +220,26 @@ class NocModel
     Cycles totalWaitCycles() const;
 
   private:
-    Server &egress(TileId tile, Plane plane);
-    Server &ingress(TileId tile, Plane plane);
+    Server &
+    egress(TileId tile, Plane plane)
+    {
+        return egress_[static_cast<std::size_t>(tile) * kNumPlanes +
+                       static_cast<std::size_t>(plane)];
+    }
+
+    Server &
+    ingress(TileId tile, Plane plane)
+    {
+        return ingress_[static_cast<std::size_t>(tile) * kNumPlanes +
+                        static_cast<std::size_t>(plane)];
+    }
 
     const MeshTopology &topo_;
     NocParams params_;
+    unsigned tiles_; ///< topo_.tileCount()
+    /** [src * tiles_ + dst]: hops * hopLatency, built once so plan()
+     *  does no coordinate arithmetic per packet. */
+    std::vector<Cycles> hopCycles_;
     std::vector<Server> egress_;  ///< [tile * kNumPlanes + plane]
     std::vector<Server> ingress_; ///< [tile * kNumPlanes + plane]
     std::uint64_t packets_ = 0;

@@ -125,16 +125,45 @@ Soc::placeTiles()
     }
 }
 
+namespace
+{
+
+/**
+ * Run @p access on each line of the first @p bytes of @p alloc
+ * (clamped to its size) in line order, threading the completion time
+ * through. The walk goes page by page: line k of a page sits at the
+ * page's base + k * kLineBytes, so no line costs a division.
+ */
+template <typename Access>
+Cycles
+forEachLine(Cycles now, const mem::Allocation &alloc, std::uint64_t bytes,
+            Access access)
+{
+    std::uint64_t left = linesFor(std::min(bytes, alloc.bytes()));
+    const std::uint64_t perPage = alloc.pageBytes() / kLineBytes;
+    Cycles t = now;
+    for (const Addr base : alloc.pageBases()) {
+        if (left == 0)
+            break;
+        const std::uint64_t n = std::min(left, perPage);
+        for (std::uint64_t k = 0; k < n; ++k)
+            t = access(t, base + k * kLineBytes);
+        left -= n;
+    }
+    return t;
+}
+
+} // namespace
+
 Cycles
 Soc::cpuWriteRange(Cycles now, unsigned cpu, const mem::Allocation &alloc,
                    std::uint64_t bytes)
 {
     panic_if(cpu >= cfg_.cpus, "bad cpu index");
-    const std::uint64_t lines = linesFor(std::min(bytes, alloc.bytes()));
-    Cycles t = now;
-    for (std::uint64_t l = 0; l < lines; ++l)
-        t = cpuL2s_[cpu]->write(t, alloc.addrOfLine(l)).done;
-    return t;
+    mem::L2Cache &l2 = *cpuL2s_[cpu];
+    return forEachLine(now, alloc, bytes, [&l2](Cycles t, Addr a) {
+        return l2.write(t, a).done;
+    });
 }
 
 Cycles
@@ -142,11 +171,10 @@ Soc::cpuReadRange(Cycles now, unsigned cpu, const mem::Allocation &alloc,
                   std::uint64_t bytes)
 {
     panic_if(cpu >= cfg_.cpus, "bad cpu index");
-    const std::uint64_t lines = linesFor(std::min(bytes, alloc.bytes()));
-    Cycles t = now;
-    for (std::uint64_t l = 0; l < lines; ++l)
-        t = cpuL2s_[cpu]->read(t, alloc.addrOfLine(l)).done;
-    return t;
+    mem::L2Cache &l2 = *cpuL2s_[cpu];
+    return forEachLine(now, alloc, bytes, [&l2](Cycles t, Addr a) {
+        return l2.read(t, a).done;
+    });
 }
 
 AccId

@@ -126,6 +126,20 @@ TEST(CacheArray, GeometryChecks)
     EXPECT_THROW(CacheArray("bad", 192 * 64, 1), FatalError); // 192 sets
 }
 
+namespace
+{
+
+/** The slot lookup() picks to refill @p lineAddr, which must miss. */
+LineRef
+victimOf(CacheArray &arr, Addr lineAddr)
+{
+    LineRef victim;
+    EXPECT_FALSE(arr.lookup(lineAddr, victim));
+    return victim;
+}
+
+} // namespace
+
 TEST(CacheArray, FindMissesWhenEmpty)
 {
     CacheArray arr("c", 4 * 1024, 4);
@@ -136,7 +150,7 @@ TEST(CacheArray, FindMissesWhenEmpty)
 TEST(CacheArray, InsertAndFind)
 {
     CacheArray arr("c", 4 * 1024, 4);
-    LineRef slot = arr.victimFor(0x1000);
+    LineRef slot = victimOf(arr, 0x1000);
     ASSERT_TRUE(slot);
     slot.lineAddr() = 0x1000;
     slot.state() = CState::kShared;
@@ -155,7 +169,7 @@ TEST(CacheArray, LruEvictsOldest)
         sameSet.push_back(static_cast<Addr>(i) * sets * kLineBytes);
 
     for (unsigned i = 0; i < 4; ++i) {
-        LineRef slot = arr.victimFor(sameSet[i]);
+        LineRef slot = victimOf(arr, sameSet[i]);
         EXPECT_FALSE(slot.valid()); // still free ways
         slot.lineAddr() = sameSet[i];
         slot.state() = CState::kShared;
@@ -163,7 +177,7 @@ TEST(CacheArray, LruEvictsOldest)
     }
     // Refresh line 0 so line 1 becomes LRU.
     arr.touch(arr.find(sameSet[0]));
-    LineRef victim = arr.victimFor(sameSet[4]);
+    LineRef victim = victimOf(arr, sameSet[4]);
     ASSERT_TRUE(victim.valid());
     EXPECT_EQ(victim.lineAddr(), sameSet[1]);
 }
@@ -172,7 +186,7 @@ TEST(CacheArray, InvalidateAllClears)
 {
     CacheArray arr("c", 4 * 1024, 4);
     for (int i = 0; i < 10; ++i) {
-        LineRef slot = arr.victimFor(i * kLineBytes);
+        LineRef slot = victimOf(arr, i * kLineBytes);
         slot.lineAddr() = i * kLineBytes;
         slot.state() = CState::kModified;
         arr.touch(slot);
@@ -187,7 +201,7 @@ TEST(CacheArray, ForEachValidVisitsExactlyValidLines)
 {
     CacheArray arr("c", 4 * 1024, 4);
     for (int i = 0; i < 7; ++i) {
-        LineRef slot = arr.victimFor(i * kLineBytes);
+        LineRef slot = victimOf(arr, i * kLineBytes);
         slot.lineAddr() = i * kLineBytes;
         slot.state() = CState::kExclusive;
         arr.touch(slot);
@@ -208,7 +222,7 @@ TEST(CacheArray, ClearForgetsLruHistory)
         sameSet.push_back(static_cast<Addr>(i) * sets * kLineBytes);
 
     for (unsigned i = 0; i < 4; ++i) {
-        LineRef slot = arr.victimFor(sameSet[i]);
+        LineRef slot = victimOf(arr, sameSet[i]);
         slot.lineAddr() = sameSet[i];
         slot.state() = CState::kShared;
         arr.touch(slot);
@@ -221,14 +235,14 @@ TEST(CacheArray, ClearForgetsLruHistory)
     // ...then everything is invalidated and refilled without touch.
     arr.invalidateAll();
     for (unsigned i = 0; i < 4; ++i) {
-        LineRef slot = arr.victimFor(sameSet[i]);
+        LineRef slot = victimOf(arr, sameSet[i]);
         slot.lineAddr() = sameSet[i];
         slot.state() = CState::kShared;
         EXPECT_EQ(slot.lastUse(), 0u); // no inherited tick
     }
     // With no stale history, the LRU victim is the first way, not
     // whatever way happened to be oldest before the invalidation.
-    EXPECT_EQ(arr.victimFor(sameSet[4]), arr.find(sameSet[0]));
+    EXPECT_EQ(victimOf(arr, sameSet[4]), arr.find(sameSet[0]));
 }
 
 TEST(CacheArray, StateNames)

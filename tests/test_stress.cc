@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <vector>
+
 #include "app/app_runner.hh"
 #include "app/random_app.hh"
 #include "policy/cohmeleon_policy.hh"
@@ -18,40 +21,104 @@ using coh::CoherenceMode;
 namespace
 {
 
-/** Raw protocol fuzz: random CPU reads/writes and coherent DMA ops
- *  over a small line pool, checking versions and the directory. */
-void
+/** End-state exact counters of one fuzz run, summed over the
+ *  hierarchy's caches, DRAM channels and NoC links. */
+struct FuzzCounters
+{
+    std::uint64_t l2Hits = 0, l2Misses = 0, l2Writebacks = 0;
+    std::uint64_t llcHits = 0, llcMisses = 0, llcEvictions = 0;
+    std::uint64_t dramReads = 0, dramWrites = 0, dramRowHits = 0;
+    std::uint64_t nocPackets = 0, nocFlits = 0, nocWaitCycles = 0;
+
+    bool operator==(const FuzzCounters &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const FuzzCounters &c)
+{
+    return os << "{" << c.l2Hits << ", " << c.l2Misses << ", "
+              << c.l2Writebacks << ", " << c.llcHits << ", "
+              << c.llcMisses << ", " << c.llcEvictions << ", "
+              << c.dramReads << ", " << c.dramWrites << ", "
+              << c.dramRowHits << ", " << c.nocPackets << ", "
+              << c.nocFlits << ", " << c.nocWaitCycles << "}";
+}
+
+/** Raw protocol fuzz: random CPU reads/writes, per-line and burst DMA
+ *  in the coherent modes, and non-coherent DMA with the full flush
+ *  protocol, checking versions throughout and the directory every 250
+ *  ops. The line pool crowds a few cache sets (20 lines per set
+ *  against 8 LLC and 4 L2 ways) and the flushes are rare, so victim
+ *  choice, LLC evictions with recalls and writebacks all run; bursts
+ *  copy the pool into partition 1 too. @return the end-state
+ *  counters. */
+FuzzCounters
 fuzzProtocol(std::uint64_t seed, unsigned ops)
 {
     soc::Soc soc(test::tinySocConfig());
     mem::MemorySystem &ms = soc.ms();
     Rng rng(seed);
 
-    constexpr unsigned kLines = 600; // spans both partitions + evicts
+    constexpr unsigned kSets = 8;    // consecutive lines per group
+    constexpr unsigned kGroups = 20; // lines per crowded set
+    constexpr unsigned kLines = kSets * kGroups;
+    // Lines one LLC set span apart share an LLC set and an L2 set.
+    const Addr setSpan =
+        static_cast<Addr>(ms.slice(0).array().sets()) * kLineBytes;
+    const std::uint64_t partBytes = soc.map().partitionBytes();
+    auto poolLine = [&](std::uint64_t i) {
+        i %= kLines;
+        return (i % kSets) * kLineBytes + (i / kSets) * setSpan;
+    };
+    std::vector<Addr> burst;
+    Addr line = 0;
+    unsigned l2 = 0;
     Cycles t = 0;
     for (unsigned i = 0; i < ops; ++i) {
-        const Addr line =
-            (rng.uniformInt(kLines) * soc.map().partitionBytes() /
-             kLines) &
-            ~static_cast<Addr>(kLineBytes - 1);
+        // Half the ops revisit the previous line from the previous
+        // cache, so private caches see hits and upgrades too.
+        if (rng.bernoulli(0.5)) {
+            line = poolLine(rng.uniformInt(kLines));
+            l2 = static_cast<unsigned>(rng.uniformInt(ms.numL2s()));
+        }
         t += 10;
-        switch (rng.uniformInt(6)) {
-          case 0:
-            ms.l2(rng.uniformInt(ms.numL2s())).read(t, line);
-            break;
-          case 1:
-            ms.l2(rng.uniformInt(ms.numL2s())).write(t, line);
-            break;
-          case 2:
+        const std::uint64_t op = rng.uniformInt(100);
+        if (op < 30) {
+            ms.l2(l2).read(t, line);
+        } else if (op < 55) {
+            ms.l2(l2).write(t, line);
+        } else if (op < 63) {
             ms.dmaRead(t, line, true, 5); // coherent DMA
-            break;
-          case 3:
+        } else if (op < 71) {
             ms.dmaWrite(t, line, true, 5);
-            break;
-          case 4:
-            ms.l2(rng.uniformInt(ms.numL2s())).flushAll(t);
-            break;
-          default:
+        } else if (op < 75) {
+            ms.l2(l2).flushAll(t);
+        } else if (op < 98) {
+            // A burst of 2-16 pool lines; the tail lands in partition
+            // 1, so the batch paths split it into per-partition runs.
+            const std::uint64_t start = rng.uniformInt(kLines);
+            const unsigned n =
+                2 + static_cast<unsigned>(rng.uniformInt(15));
+            const unsigned inPart0 =
+                static_cast<unsigned>(rng.uniformInt(n + 1));
+            burst.resize(n);
+            for (unsigned k = 0; k < n; ++k)
+                burst[k] =
+                    poolLine(start + k) + (k < inPart0 ? 0 : partBytes);
+            const bool isWrite = rng.bernoulli(0.5);
+            if (op < 95) {
+                // LLC-routed DMA: coherent, or LLC-coherent after the
+                // private-cache flush it requires.
+                const bool coherent = rng.bernoulli(0.75);
+                if (!coherent)
+                    t = ms.flushL2s(t).done;
+                ms.dmaBurst(t, burst.data(), n, coherent, isWrite, 5);
+            } else {
+                t = ms.flushL2s(t).done;
+                t = ms.flushLlc(t).done;
+                ms.dramBurst(t, burst.data(), n, isWrite, 5);
+            }
+        } else {
             // Non-coherent access with the full flush protocol.
             t = ms.flushL2s(t).done;
             t = ms.flushLlc(t).done;
@@ -59,7 +126,11 @@ fuzzProtocol(std::uint64_t seed, unsigned ops)
                 ms.dramRead(t, line, 5);
             else
                 ms.dramWrite(t, line, 5);
-            break;
+        }
+        if ((i + 1) % 250 == 0) {
+            const auto problems = ms.checkDirectoryInvariants();
+            EXPECT_TRUE(problems.empty()) << "seed " << seed << " op "
+                                          << i << ": " << problems.front();
         }
     }
 
@@ -67,6 +138,25 @@ fuzzProtocol(std::uint64_t seed, unsigned ops)
     const auto problems = ms.checkDirectoryInvariants();
     EXPECT_TRUE(problems.empty())
         << "seed " << seed << ": " << problems.front();
+
+    FuzzCounters c;
+    for (unsigned i = 0; i < ms.numL2s(); ++i) {
+        c.l2Hits += ms.l2(i).hits();
+        c.l2Misses += ms.l2(i).misses();
+        c.l2Writebacks += ms.l2(i).writebacks();
+    }
+    for (unsigned p = 0; p < ms.numPartitions(); ++p) {
+        c.llcHits += ms.slice(p).hits();
+        c.llcMisses += ms.slice(p).misses();
+        c.llcEvictions += ms.slice(p).evictions();
+        c.dramReads += ms.dram(p).reads();
+        c.dramWrites += ms.dram(p).writes();
+        c.dramRowHits += ms.dram(p).rowHits();
+    }
+    c.nocPackets = soc.noc().packets();
+    c.nocFlits = soc.noc().flits();
+    c.nocWaitCycles = soc.noc().totalWaitCycles();
+    return c;
 }
 
 } // namespace
@@ -82,6 +172,19 @@ TEST_P(ProtocolFuzz, NoStaleDataNoDirectoryRot)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolFuzz,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+TEST(ProtocolFuzzPins, EndStateCountersArePinned)
+{
+    // Exact end states of two fuzz runs: a change to the simulated
+    // memory model (victim choice, routing, row tracking) moves at
+    // least one of these counters. Fields in FuzzCounters order.
+    EXPECT_EQ(fuzzProtocol(1, 3000),
+              (FuzzCounters{465, 1178, 537, 1288, 5859, 357, 3554, 3774,
+                            2362, 16807, 170359, 2068941}));
+    EXPECT_EQ(fuzzProtocol(2, 3000),
+              (FuzzCounters{491, 1162, 533, 1129, 5768, 224, 3685, 3717,
+                            2537, 16541, 167909, 1766902}));
+}
 
 TEST(StressApp, RandomAppsUnderEveryPolicyStayCoherent)
 {
